@@ -15,7 +15,6 @@ from slasim.core import (
     PolicyParams,
     SimulationTrace,
     SlaVector,
-    StepRecord,
     feedback,
     run,
     step,
@@ -29,7 +28,6 @@ __all__ = [
     "PolicyParams",
     "SimulationTrace",
     "SlaVector",
-    "StepRecord",
     "feedback",
     "run",
     "step",

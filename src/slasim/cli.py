@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
@@ -40,7 +41,6 @@ from slasim.core import (
 )
 
 OUTPUT_DIR_ENV = "SLASIM_OUTPUT_DIR"
-ONLINE_TYPES = ("mw", "mw_prop", "static", "po", "owm")
 OFFLINE_TYPES = ("pg", "simple_greedy")
 WORKLOAD_TYPES = ("example1", "synthetic_gamma", "bernoulli_gamma", "trace_csv", "adversary")
 WORK_CAP_SLACK = 1e-6
@@ -134,8 +134,6 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         return None, [f"config syntax: {exc}"], []
 
@@ -163,10 +161,14 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
 
     seed = _parse_int(wl.get("seed", "0"), "workload seed", errors) or 0
     trace_path = wl.get("path", None)
-    burst_p = _parse_float(wl.get("p", "0.5"), "workload p", errors) or 0.5
+    burst_p = _parse_float(wl.get("p", "0.5"), "workload p", errors)
+    if burst_p is not None and not 0.0 < burst_p <= 1.0:
+        errors.append(f"workload p must lie in (0, 1], got {burst_p}")
     burst_mean = (
         _parse_float(wl["mean"], "workload mean", errors) if "mean" in wl else None
     )
+    if burst_mean is not None and not (burst_mean > 0.0 and math.isfinite(burst_mean)):
+        errors.append(f"workload mean must be positive and finite, got {burst_mean}")
     schedule = workloads.DEFAULT_SCHEDULE
     if "schedule" in wl:
         schedule = _parse_schedule(wl["schedule"], errors)
@@ -202,7 +204,11 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         "run empty_tolerance",
         errors,
     )
-    stride = _parse_int(run_sec.get("stride", "1"), "run stride", errors) or 1
+    if empty_tol is not None and not (empty_tol >= 0.0 and math.isfinite(empty_tol)):
+        errors.append(f"run empty_tolerance must be finite and nonnegative, got {empty_tol}")
+    stride = _parse_int(run_sec.get("stride", "1"), "run stride", errors)
+    if stride is not None and stride < 1:
+        errors.append(f"run stride must be a positive integer, got {stride}")
     profile = run_sec.get("profile", "debug").strip().lower()
     if profile not in ("debug", "release"):
         errors.append(f"run profile must be debug or release, got {profile!r}")
@@ -226,10 +232,10 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         if any(p.name == name for p in policy_configs):
             errors.append(f"duplicate policy name {name!r}")
             continue
-        if ptype not in ONLINE_TYPES + OFFLINE_TYPES:
+        if ptype not in policies.POLICY_NAMES + OFFLINE_TYPES:
             errors.append(
                 f"policy {name}: type must be one of "
-                f"{', '.join(ONLINE_TYPES + OFFLINE_TYPES)}, got {ptype!r}"
+                f"{', '.join(policies.POLICY_NAMES + OFFLINE_TYPES)}, got {ptype!r}"
             )
             continue
         pc = PolicyConfig(name=name, type=ptype)
@@ -297,12 +303,16 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     sla_window_policy = met.get("sla_window", "").strip() or None
     if sla_window_policy is not None and sla_window_policy not in known:
         errors.append(f"metrics sla_window: unknown policy {sla_window_policy!r}")
-    tau = _parse_int(met.get("tau", "500"), "metrics tau", errors) or 500
+    tau = _parse_int(met.get("tau", "500"), "metrics tau", errors)
+    if tau is not None and tau < 1:
+        errors.append(f"metrics tau must be a positive integer, got {tau}")
     window_stride = (
         _parse_int(met["window_stride"], "metrics window_stride", errors)
         if "window_stride" in met
         else None
     )
+    if window_stride is not None and window_stride < 1:
+        errors.append(f"metrics window_stride must be a positive integer, got {window_stride}")
     queue_norms = True
     if "queue_norms" in met:
         parsed = _parse_bool(met["queue_norms"], "metrics queue_norms", errors)
@@ -311,7 +321,7 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     if sla_window_policy is not None:
         if stride != 1:
             errors.append("metrics sla_window needs run stride = 1 (full trace)")
-        if horizon >= 1 and not (1 <= tau <= horizon):
+        if tau is not None and tau > horizon >= 1:
             errors.append(f"metrics tau must lie in [1, horizon], got {tau}")
     if wl_type == "adversary" and work_diff:
         warnings.append(
@@ -334,7 +344,7 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         burst_probability=burst_p,
         burst_mean=burst_mean,
         schedule=schedule,
-        empty_tolerance=empty_tol if empty_tol is not None else DEFAULT_EMPTY_TOLERANCE,
+        empty_tolerance=empty_tol,
         stride=stride,
         assert_lemmas=assert_lemmas,
         policies=policy_configs,
@@ -352,13 +362,14 @@ def _policy_echo(cfg: ExperimentConfig) -> list[str]:
     lines = []
     for pc in cfg.policies:
         if pc.type in ("mw", "mw_prop"):
-            derived = pc.epsilon**2 / (8.0 * cfg.sla.n)
-            if pc.boost is None:
-                lines.append(f"policy {pc.name}: boost = {derived!r} (canonical)")
+            params = _instantiate(pc, cfg).params
+            if params.canonical_boost:
+                lines.append(f"policy {pc.name}: boost = {params.boost!r} (canonical)")
             else:
+                canonical = PolicyParams(n_users=cfg.sla.n, epsilon=pc.epsilon, eta=pc.eta)
                 lines.append(
-                    f"policy {pc.name}: boost = {pc.boost!r} "
-                    f"(override; canonical would be {derived!r})"
+                    f"policy {pc.name}: boost = {params.boost!r} "
+                    f"(override; canonical would be {canonical.boost!r})"
                 )
     return lines
 
@@ -409,7 +420,7 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_series(path: str, report: metrics_mod.SeriesReport, n_users: int = 0) -> None:
+def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if report.values.ndim == 1:
             fh.write("t,value\n")
@@ -524,9 +535,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             values=stats.gaps,
         )
         _write_series(
-            os.path.join(cfg.output_dir, f"sla_window_{cfg.sla_window_policy}.csv"),
-            report,
-            n_users=cfg.sla.n,
+            os.path.join(cfg.output_dir, f"sla_window_{cfg.sla_window_policy}.csv"), report
         )
         prefix = f"policy.{cfg.sla_window_policy}.sla_window"
         summary[f"{prefix}.tau"] = stats.tau

@@ -9,6 +9,12 @@ Each of T discrete steps proceeds in a fixed order:
 3. update: load L(i) arrives, user i completes w(i) = min(h(i), L(i) + Q(i))
    units of work, and queues become Q(i) <- max(0, L(i) + Q(i) - h(i)).
 
+That update is written once, in `_update` (`step` is its checked public
+form).  The simulator below, the offline greedies, the adversary's mirror
+of the queues and the windowed static re-simulation in `metrics` all apply
+it, so their queues agree bit for bit.  `_Recorder` keeps the trace rows
+for both the simulator and the offline greedies.
+
 Policies never see loads or queue magnitudes, only the busy/idle pattern.
 Adaptive load sources (used by the lower-bound adversary) may read the
 current step's allocation and the busy/idle pattern, nothing else.
@@ -118,6 +124,13 @@ def feedback(queue: np.ndarray, tol: float = DEFAULT_EMPTY_TOLERANCE) -> np.ndar
     return queue > tol
 
 
+def _update(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The model's one queue update, unchecked; see step() for the rule.
+    avail = load + queue
+    work = np.minimum(alloc, avail)
+    return work, avail - work
+
+
 def step(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One queue update: returns (work done, queue after).
 
@@ -134,9 +147,7 @@ def step(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.nda
         )
     if np.any(load < 0.0) or np.any(queue < 0.0) or np.any(alloc < 0.0):
         raise ValueError("loads, queues and allocations must be nonnegative")
-    avail = load + queue
-    work = np.minimum(alloc, avail)
-    return work, avail - work
+    return _update(queue, alloc, load)
 
 
 class Policy(Protocol):
@@ -157,18 +168,6 @@ class LoadSource(Protocol):
     def reset(self) -> None: ...
 
     def next(self, t: int, alloc: np.ndarray, active: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything observable about one step (1-based index t)."""
-
-    t: int
-    active: np.ndarray
-    alloc: np.ndarray
-    work: np.ndarray
-    queue_after: np.ndarray
-    load: np.ndarray
 
 
 @dataclass
@@ -209,24 +208,64 @@ class SimulationTrace:
     def __len__(self) -> int:
         return int(len(self.steps))
 
-    def record_at(self, t: int) -> StepRecord:
-        idx = np.searchsorted(self.steps, t)
-        if idx >= len(self.steps) or self.steps[idx] != t:
-            raise KeyError(f"step {t} not retained in trace (stride {self.stride})")
-        return StepRecord(
-            t=t,
-            active=self.active[idx],
-            alloc=self.alloc[idx],
-            work=self.work[idx],
-            queue_after=self.queue[idx],
-            load=self.load[idx],
-        )
-
     def conservation_residual(self) -> float:
         """|total load - total work - final backlog|, relative to total load."""
         lhs = float(self.total_work.sum() + self.final_queue.sum())
         rhs = float(self.total_load.sum())
         return abs(lhs - rhs) / max(1.0, rhs)
+
+
+class _Recorder:
+    """Per-step rows of a SimulationTrace, kept at every stride-th step and
+    always at the final one; the caller calls keep() when t == next."""
+
+    def __init__(self, horizon: int, stride: int, n: int):
+        kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
+        if len(kept) == 0 or kept[-1] != horizon:
+            kept = np.append(kept, horizon)  # always retain the final step
+        self.horizon = horizon
+        self.stride = stride
+        self.steps = kept
+        self.next = int(kept[0])
+        self._j = 0
+        m = len(kept)
+        self.active = np.empty((m, n), dtype=bool)
+        self.alloc = np.empty((m, n))
+        self.work = np.empty((m, n))
+        self.queue = np.empty((m, n))
+        self.load = np.empty((m, n))
+        self.cum_work = np.empty((m, n))
+
+    def keep(self, active, alloc, work, queue, load, cum_work) -> None:
+        j = self._j
+        self.active[j] = active
+        self.alloc[j] = alloc
+        self.work[j] = work
+        self.queue[j] = queue
+        self.load[j] = load
+        self.cum_work[j] = cum_work
+        self._j = j + 1
+        if self._j < len(self.steps):
+            self.next = int(self.steps[self._j])
+
+    def trace(self, policy: str, total_work, total_load, final_queue, sla, params) -> SimulationTrace:
+        return SimulationTrace(
+            policy=policy,
+            steps=self.steps,
+            active=self.active,
+            alloc=self.alloc,
+            work=self.work,
+            queue=self.queue,
+            load=self.load,
+            cum_work=self.cum_work,
+            total_work=total_work,
+            total_load=total_load,
+            final_queue=final_queue,
+            horizon=self.horizon,
+            stride=self.stride,
+            sla=sla,
+            params=params,
+        )
 
 
 def run(
@@ -255,21 +294,10 @@ def run(
     source.reset()
     policy.reset(n)
 
-    kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
-    if len(kept) == 0 or kept[-1] != horizon:
-        kept = np.append(kept, horizon)  # always retain the final step
-    m = len(kept)
-    rec_active = np.empty((m, n), dtype=bool)
-    rec_alloc = np.empty((m, n))
-    rec_work = np.empty((m, n))
-    rec_queue = np.empty((m, n))
-    rec_load = np.empty((m, n))
-    rec_cum = np.empty((m, n))
-
+    rec = _Recorder(horizon, stride, n)
     queue = np.zeros(n)
     cum = np.zeros(n)
     total_load = np.zeros(n)
-    j = 0
     for t in range(1, horizon + 1):
         active = queue > empty_tolerance
         alloc = policy.decide(active)
@@ -277,34 +305,17 @@ def run(
             load = source.next(t, alloc, active)
         except LoadExhausted as exc:
             raise LoadExhausted(f"load source exhausted at step {t}: {exc}") from exc
-        avail = load + queue
-        work = np.minimum(alloc, avail)
-        queue = avail - work
+        work, queue = _update(queue, alloc, load)
         cum = cum + work
         total_load += load
-        if t == kept[j]:
-            rec_active[j] = active
-            rec_alloc[j] = alloc
-            rec_work[j] = work
-            rec_queue[j] = queue
-            rec_load[j] = load
-            rec_cum[j] = cum
-            j += 1
+        if t == rec.next:
+            rec.keep(active, alloc, work, queue, load, cum)
 
-    return SimulationTrace(
-        policy=getattr(policy, "name", type(policy).__name__),
-        steps=kept,
-        active=rec_active,
-        alloc=rec_alloc,
-        work=rec_work,
-        queue=rec_queue,
-        load=rec_load,
-        cum_work=rec_cum,
-        total_work=cum,
-        total_load=total_load,
-        final_queue=queue,
-        horizon=horizon,
-        stride=stride,
+    return rec.trace(
+        getattr(policy, "name", type(policy).__name__),
+        cum,
+        total_load,
+        queue,
         sla=getattr(policy, "sla", None),
         params=dict(getattr(policy, "spec", {})),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from slasim.core import SimulationTrace, SlaVector
+from slasim.core import SimulationTrace, SlaVector, _update
 
 WINDOW_TARGET_COUNT = 20_000
 
@@ -156,10 +156,7 @@ def sla_window_stats(
     alg_work = np.zeros_like(q)
     rows = starts - 1
     for k in range(tau):
-        load = trace.load[rows + k]
-        avail = q + load
-        done = np.minimum(beta, avail)
-        q = avail - done
+        done, q = _update(q, beta, trace.load[rows + k])  # beta broadcasts over windows
         static_work += done
         alg_work += trace.work[rows + k]
 

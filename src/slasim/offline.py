@@ -23,7 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from slasim.core import DegenerateSlaError, SimulationTrace, SlaVector
+from slasim.core import (
+    DEFAULT_EMPTY_TOLERANCE,
+    DegenerateSlaError,
+    SimulationTrace,
+    SlaVector,
+    _Recorder,
+    _update,
+)
 
 
 class InfeasibleDualError(ValueError):
@@ -58,50 +65,21 @@ def _offline_trace(
     sla: Optional[SlaVector] = None,
     stride: int = 1,
 ) -> SimulationTrace:
-    """Walk the load matrix applying `serve(demand) -> work` each step."""
+    """Walk the load matrix allocating `serve(pending) -> alloc` each step;
+    every alloc(i) is at most pending(i), so it is also the work done."""
     horizon, n = loads.shape
-    kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
-    if len(kept) == 0 or kept[-1] != horizon:
-        kept = np.append(kept, horizon)
-    m = len(kept)
-    rec_active = np.empty((m, n), dtype=bool)
-    rec_work = np.empty((m, n))
-    rec_queue = np.empty((m, n))
-    rec_cum = np.empty((m, n))
-
+    rec = _Recorder(horizon, stride, n)
     queue = np.zeros(n)
     cum = np.zeros(n)
-    j = 0
     for t in range(1, horizon + 1):
-        active = queue > 1e-12
-        demand = queue + loads[t - 1]
-        work = serve(demand)
-        queue = demand - work
+        load = loads[t - 1]
+        active = queue > DEFAULT_EMPTY_TOLERANCE
+        alloc = serve(queue + load)
+        work, queue = _update(queue, alloc, load)
         cum = cum + work
-        if t == kept[j]:
-            rec_active[j] = active
-            rec_work[j] = work
-            rec_queue[j] = queue
-            rec_cum[j] = cum
-            j += 1
-
-    return SimulationTrace(
-        policy=name,
-        steps=kept,
-        active=rec_active,
-        alloc=rec_work.copy(),  # these schedulers allocate exactly what they serve
-        work=rec_work,
-        queue=rec_queue,
-        load=loads[kept - 1].copy(),
-        cum_work=rec_cum,
-        total_work=cum,
-        total_load=loads.sum(axis=0),
-        final_queue=queue,
-        horizon=horizon,
-        stride=stride,
-        sla=sla,
-        params=params,
-    )
+        if t == rec.next:
+            rec.keep(active, alloc, work, queue, load, cum)
+    return rec.trace(name, cum, loads.sum(axis=0), queue, sla, params)
 
 
 def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> SimulationTrace:
@@ -114,9 +92,9 @@ def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> 
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
 
-    def serve(demand: np.ndarray) -> np.ndarray:
-        before = np.cumsum(demand) - demand
-        return np.clip(capacity - before, 0.0, demand)
+    def serve(pending: np.ndarray) -> np.ndarray:
+        before = np.cumsum(pending) - pending
+        return np.clip(capacity - before, 0.0, pending)
 
     return _offline_trace(loads, "simple_greedy", serve, {"name": "simple_greedy", "capacity": capacity}, stride=stride)
 
@@ -142,8 +120,8 @@ def proportional_greedy(
     positive = beta > 0.0
     all_positive = bool(positive.all())
 
-    def serve(demand: np.ndarray) -> np.ndarray:
-        remaining = demand.copy()
+    def serve(pending: np.ndarray) -> np.ndarray:
+        remaining = pending.copy()
         left = capacity
         total = remaining.sum()
         if all_positive and total <= left:

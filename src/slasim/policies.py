@@ -55,30 +55,6 @@ def _gain(
     return gain, under
 
 
-def mw_update(
-    h: np.ndarray,
-    active: np.ndarray,
-    sla: SlaVector,
-    params: PolicyParams,
-    proportional: bool = False,
-) -> np.ndarray:
-    """One multiplicative-weights update from allocation h under the given
-    busy/idle pattern: exponentiated gains, then KL projection back onto
-    the truncated simplex."""
-    h = np.asarray(h, dtype=np.float64)
-    active = np.asarray(active, dtype=bool)
-    if h.shape != active.shape or h.size != sla.n:
-        raise ValueError("allocation, feedback and SLA sizes must agree")
-    gain, _ = _gain(h, active, sla.beta, params.epsilon, params.boost, proportional)
-    return project_truncated_simplex(h * np.exp(params.eta * gain), params.epsilon)
-
-
-def proportional_mw_update(
-    h: np.ndarray, active: np.ndarray, sla: SlaVector, params: PolicyParams
-) -> np.ndarray:
-    return mw_update(h, active, sla, params, proportional=True)
-
-
 class MultiplicativeWeights:
     """Multiplicative-weights policy (basic or proportional variant).
 

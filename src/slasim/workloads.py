@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from slasim.core import InvariantViolation, LoadExhausted, SlaVector
+from slasim.core import InvariantViolation, LoadExhausted, SlaVector, _update
 
 GAMMA_SHAPE_DEFAULT = 2000.0
 
@@ -89,11 +89,6 @@ class GammaParams:
     @property
     def variance(self) -> float:
         return self.shape * self.scale**2
-
-
-def sample_gamma(rng: np.random.Generator, params: GammaParams, size=None) -> np.ndarray:
-    """Gamma draws with the given shape and scale."""
-    return rng.gamma(params.shape, params.scale, size=size)
 
 
 # Six equal periods; each names a pair of users.  "bulk" drops one big job
@@ -273,8 +268,9 @@ class QueueAdversary:
 
     The adversary never reads queue magnitudes from the simulator: it
     reconstructs them from its own emitted loads and the allocations it is
-    shown, and cross-checks the reconstruction against the busy/idle
-    pattern every step.
+    shown, through the simulator's own queue update (so the mirror equals
+    the real queues bit for bit), and cross-checks the reconstruction
+    against the busy/idle pattern every step.
     """
 
     INIT, OPEN, ECHO, DRAIN, CLOSE = range(5)
@@ -345,7 +341,7 @@ class QueueAdversary:
             self.phase_index = 1
             self.phase_backlog = 0.0
             load[b] = 1.0
-            self.queue = _mirror_step(q, h, load)
+            _, self.queue = _update(q, h, load)
             self._close_phase(t, self.queue)
             return load
 
@@ -354,13 +350,13 @@ class QueueAdversary:
                 # The empty side hoards the resource; load the other side
                 # so at least half the capacity is wasted.
                 load[b] = 1.0
-                self.queue = _mirror_step(q, h, load)
+                _, self.queue = _update(q, h, load)
                 self._close_phase(t, self.queue)
                 return load
             self.eps_open = min(0.125, (1.0 - h[a]) / 2.0)
             load[a] = h[a] + self.eps_open
             load[b] = 1.0 - load[a]
-            self.queue = _mirror_step(q, h, load)
+            _, self.queue = _update(q, h, load)
             self.mode = self.ECHO
             return load
 
@@ -369,7 +365,7 @@ class QueueAdversary:
                 # Waste move: side a holds only the planted sliver, so at
                 # least half the capacity misses its queue.
                 load[b] = 1.0
-                self.queue = _mirror_step(q, h, load)
+                _, self.queue = _update(q, h, load)
                 self._close_phase(t, self.queue)
                 return load
             if self.rel_step <= 2.0 * self.phase_backlog + 1.0:
@@ -377,14 +373,14 @@ class QueueAdversary:
                 # at the sliver), side b the rest; feedback stays busy/busy.
                 load[a] = h[a]
                 load[b] = 1.0 - h[a]
-                self.queue = _mirror_step(q, h, load)
+                _, self.queue = _update(q, h, load)
                 return load
             self.mode = self.DRAIN  # the watch window expired
 
         if self.mode == self.DRAIN:
             if q[b] - h[b] > 0.125:
                 load[a] = 1.0  # drain side b, pile up side a
-                self.queue = _mirror_step(q, h, load)
+                _, self.queue = _update(q, h, load)
                 return load
             # Side b is within one step of the sliver target; top it up so
             # exactly eps_close remains and feedback still reads busy/busy.
@@ -393,23 +389,15 @@ class QueueAdversary:
             self.eps_close = max(min(0.125, q[b] / 2.0), q[b] - h[b])
             load[b] = min(max(h[b] - q[b] + self.eps_close, 0.0), 1.0)
             load[a] = 1.0 - load[b]
-            self.queue = _mirror_step(q, h, load)
+            _, self.queue = _update(q, h, load)
             self.mode = self.CLOSE
             return load
 
         # CLOSE: one more unit on side a finishes side b's sliver and
         # wastes the rest of side b's allocation.
         load[a] = 1.0
-        self.queue = _mirror_step(q, h, load)
+        _, self.queue = _update(q, h, load)
         if self.queue[b] <= self.tol:
             self.side = a  # the backlog has moved across
             self._close_phase(t, self.queue)
         return load
-
-
-def _mirror_step(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> np.ndarray:
-    # Same arithmetic as the simulator's update so mirrored queues match
-    # the real ones bit for bit.
-    avail = load + queue
-    work = np.minimum(alloc, avail)
-    return avail - work

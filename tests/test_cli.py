@@ -198,12 +198,53 @@ def test_validate_echoes_policies_and_exits_zero(tmp_path, capsys):
     assert "(canonical)" in out
 
 
-def test_validate_reports_errors_and_exits_one(tmp_path, capsys):
-    path = _write(tmp_path, "[workload]\ntype = nope\n")
+BOUNDED = """\
+[workload]
+type = bernoulli_gamma
+horizon = 60
+sla = 0.5, 0.5
+
+[run]
+
+[policy s]
+type = static
+
+[metrics]
+"""
+
+
+def _bounded_with(section: str, line: str) -> str:
+    return BOUNDED.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param("[workload]\ntype = nope\n", "workload type", id="workload-type"),
+        # Out-of-range values are config errors, never replaced by a default
+        # or left to crash the run.
+        pytest.param(_bounded_with("workload", "p = 0"), "workload p", id="p-zero"),
+        pytest.param(_bounded_with("workload", "mean = -1"), "workload mean", id="mean-negative"),
+        pytest.param(_bounded_with("run", "stride = 0"), "run stride", id="stride-zero"),
+        pytest.param(
+            _bounded_with("run", "empty_tolerance = -1"),
+            "run empty_tolerance",
+            id="empty_tolerance-negative",
+        ),
+        pytest.param(_bounded_with("metrics", "tau = 0"), "metrics tau", id="tau-zero"),
+        pytest.param(
+            _bounded_with("metrics", "window_stride = 0"),
+            "metrics window_stride",
+            id="window_stride-zero",
+        ),
+    ],
+)
+def test_validate_reports_errors_and_exits_one(tmp_path, capsys, text, key):
+    path = _write(tmp_path, text)
     code = cli.main(["validate", path])
     captured = capsys.readouterr()
     assert code == 1
-    assert "error:" in captured.err
+    assert f"error: {key}" in captured.err
 
 
 def test_missing_config_exits_three(tmp_path, capsys):

@@ -13,6 +13,7 @@ from slasim import (
     run,
     step,
 )
+from slasim.offline import proportional_greedy, simple_greedy
 from slasim.policies import MultiplicativeWeights, OnlineWorkMaximizing, StaticSla
 from slasim.workloads import PrecomputedLoads, bernoulli_gamma_fuzz
 
@@ -106,23 +107,37 @@ def test_mid_run_exhaustion_names_the_step():
         run(StaticSla(SlaVector(np.array([0.5, 0.5]))), Dribble(), horizon=5)
 
 
-def test_stride_thinning_keeps_final_step_and_aggregates():
+_THIN_SLA = SlaVector(np.array([0.2, 0.3, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        pytest.param(lambda src, stride: run(_mw(3), src, horizon=100, stride=stride), id="mw"),
+        pytest.param(
+            lambda src, stride: proportional_greedy(src.matrix, _THIN_SLA, stride=stride),
+            id="proportional_greedy",
+        ),
+        pytest.param(
+            lambda src, stride: simple_greedy(src.matrix, 0.9, stride=stride), id="simple_greedy"
+        ),
+    ],
+)
+def test_stride_thinning_keeps_final_step_and_aggregates(schedule):
     source = bernoulli_gamma_fuzz(n_users=3, horizon=100, seed=5)
-    full = run(_mw(3), source, horizon=100)
-    thin = run(_mw(3), source, horizon=100, stride=7)
+    full = schedule(source, 1)
+    thin = schedule(source, 7)
     assert thin.steps[-1] == 100
     assert np.array_equal(thin.steps[:-1], np.arange(7, 100, 7))
     assert np.array_equal(thin.total_work, full.total_work)
+    assert np.array_equal(thin.total_load, full.total_load)
     assert np.array_equal(thin.final_queue, full.final_queue)
     assert not thin.is_full and full.is_full
 
-    rec = thin.record_at(98)
-    ref = full.record_at(98)
-    assert rec.t == 98
-    assert np.array_equal(rec.work, ref.work)
-    assert np.array_equal(rec.queue_after, ref.queue_after)
-    with pytest.raises(KeyError):
-        thin.record_at(5)
+    # every thinned row equals the full trace's row at the same step
+    rows = thin.steps - 1
+    for field in ("active", "alloc", "work", "queue", "load", "cum_work"):
+        assert np.array_equal(getattr(thin, field), getattr(full, field)[rows]), field
 
 
 def test_run_validates_arguments():

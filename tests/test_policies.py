@@ -16,14 +16,19 @@ from slasim.policies import (
     StaticSla,
     _gain,
     make_policy,
-    mw_update,
-    proportional_mw_update,
 )
 from slasim.workloads import PrecomputedLoads, bernoulli_gamma_fuzz
 
 
 def _params(n: int, eps: float = 0.05, eta: float = 1.0 / 3.0) -> PolicyParams:
     return PolicyParams(n_users=n, epsilon=eps, eta=eta)
+
+
+def _first_update(sla: SlaVector, params: PolicyParams, active) -> np.ndarray:
+    """One update from the uniform start allocation 1/N."""
+    policy = MultiplicativeWeights(sla, params)
+    policy.reset(sla.n)
+    return policy.decide(np.array(active))
 
 
 # ---------------------------------------------------------------- update rule
@@ -33,17 +38,15 @@ def test_equal_gains_cancel_exactly():
     # Both users active and at their share: gains are equal, the common
     # exponential factor drops out in the projection.
     sla = SlaVector(np.array([0.5, 0.5]))
-    h = np.array([0.5, 0.5])
-    out = mw_update(h, np.array([True, True]), sla, _params(2))
-    assert np.array_equal(out, h)
+    out = _first_update(sla, _params(2), [True, True])
+    assert np.array_equal(out, [0.5, 0.5])
 
 
 def test_single_active_user_closed_form():
     # One served active user against one idle: exponent gap is eta, so the
     # new split is e^eta : 1 before flooring.
     sla = SlaVector(np.array([0.5, 0.5]))
-    h = np.array([0.5, 0.5])
-    out = mw_update(h, np.array([True, False]), sla, _params(2, eps=0.05))
+    out = _first_update(sla, _params(2, eps=0.05), [True, False])
     e = np.exp(1.0 / 3.0)
     assert out[0] == pytest.approx(e / (1.0 + e), abs=1e-12)
     assert out[1] == pytest.approx(1.0 / (1.0 + e), abs=1e-12)
@@ -60,12 +63,11 @@ def test_exact_share_counts_as_served():
 
 
 def test_underserved_user_gains_on_served_user():
-    sla = SlaVector(np.array([0.5, 0.5]))
-    h = np.array([0.3, 0.7])
-    out = mw_update(h, np.array([True, True]), sla, _params(2))
-    # user 1 sits below 0.5 and receives the boosted exponent
-    assert out[0] > h[0]
-    assert out[1] < h[1]
+    sla = SlaVector(np.array([0.7, 0.3]))
+    out = _first_update(sla, _params(2), [True, True])
+    # user 1 sits at 0.5, below their 0.7 share, and receives the boosted exponent
+    assert out[0] > 0.5
+    assert out[1] < 0.5
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -88,19 +90,12 @@ def test_zero_active_share_never_underserved():
 
 def test_updates_stay_in_truncated_simplex(rng):
     sla = SlaVector(np.array([0.1, 0.2, 0.3, 0.4]))
-    params = _params(4, eps=0.08)
-    h = np.full(4, 0.25)
+    policy = MultiplicativeWeights(sla, _params(4, eps=0.08), proportional=True)
+    policy.reset(4)
     for _ in range(200):
-        active = rng.random(4) < 0.5
-        h = proportional_mw_update(h, active, sla, params)
+        h = policy.decide(rng.random(4) < 0.5)
         assert h.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(h >= 0.08 / 4 - 1e-15)
-
-
-def test_update_rejects_size_mismatch():
-    sla = SlaVector(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        mw_update(np.array([1.0, 0.0, 0.0]), np.array([True, True, True]), sla, _params(2))
 
 
 # ----------------------------------------------------- stabilization behavior

@@ -22,7 +22,6 @@ from slasim.workloads import (
     example1_loads,
     example1_sla,
     load_trace_csv,
-    sample_gamma,
     synthetic_gamma,
     write_trace_csv,
 )
@@ -66,7 +65,7 @@ def test_gamma_params_moments():
 
 def test_sample_gamma_matches_moments(rng):
     p = GammaParams(shape=3.0, scale=0.5)
-    draws = sample_gamma(rng, p, size=200_000)
+    draws = rng.gamma(p.shape, p.scale, size=200_000)
     assert draws.mean() == pytest.approx(p.mean, rel=0.01)
     assert draws.var() == pytest.approx(p.variance, rel=0.03)
     assert np.all(draws > 0.0)
@@ -76,7 +75,7 @@ def test_shape_one_gamma_is_exponential(rng):
     # Gamma with shape 1 is the exponential distribution; check the full
     # law, not just moments.
     scale = 0.7
-    draws = sample_gamma(rng, GammaParams(shape=1.0, scale=scale), size=20_000)
+    draws = rng.gamma(1.0, scale, size=20_000)
     result = stats.kstest(draws, "expon", args=(0.0, scale))
     assert result.pvalue > 0.01
 
@@ -242,6 +241,8 @@ def test_adversary_forces_backlog(name):
     assert np.allclose(trace.load.sum(axis=1), 1.0, atol=1e-9)
     assert backlog >= math.sqrt(horizon / 40.0)
     assert trace.total_work.sum() + backlog == pytest.approx(horizon, abs=1e-9)
+    # the adversary mirrors the queues with the simulator's own update
+    assert np.array_equal(source.queue, trace.final_queue)
     # phases recorded, each growing the backlog
     phases = source.phase_log
     assert phases
