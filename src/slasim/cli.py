@@ -4,12 +4,16 @@ Configs are INI files (configparser syntax, # or ; comments) with one
 section per policy:
 
     [workload]            type, horizon, sla, and type-specific keys
-    [run]                 empty_tolerance, stride, profile, assert_lemmas
+    [run]                 stride, profile (debug arms the lemma monitors)
     [policy <name>]       type = mw | mw_prop | static | po | owm |
                           pg | simple_greedy, plus parameters
     [metrics]             work_difference, sla_window, tau, window_stride,
                           queue_norms
     [output]              dir (overridden by SLASIM_OUTPUT_DIR)
+
+The workload and policy sections read `type` and that type's own keys.
+Any other section or key is a config error, so a misspelled or misplaced setting
+never leaves its default in force unnoticed.
 
 `run` writes one CSV per requested series plus a `summary` file of
 key=value lines.  Exit codes: 0 success, 1 config error, 2 runtime
@@ -32,7 +36,6 @@ import numpy as np
 from slasim import metrics as metrics_mod
 from slasim import offline, policies, workloads
 from slasim.core import (
-    DEFAULT_EMPTY_TOLERANCE,
     InvariantViolation,
     PolicyParams,
     SimulationTrace,
@@ -42,8 +45,22 @@ from slasim.core import (
 
 OUTPUT_DIR_ENV = "SLASIM_OUTPUT_DIR"
 OFFLINE_TYPES = ("pg", "simple_greedy")
-WORKLOAD_TYPES = ("example1", "synthetic_gamma", "bernoulli_gamma", "trace_csv", "adversary")
 WORK_CAP_SLACK = 1e-6
+# Keys each workload type reads besides type, horizon and sla.
+WORKLOAD_KEYS = {
+    "example1": (),
+    "synthetic_gamma": ("seed", "schedule"),
+    "bernoulli_gamma": ("seed", "p", "mean"),
+    "trace_csv": ("path",),
+    "adversary": (),
+}
+# Keys parse_config reads in the other fixed sections; the workload and
+# policy sections are checked against the keys of their own type.
+SECTION_KEYS = {
+    "run": ("stride", "profile"),
+    "metrics": ("work_difference", "sla_window", "tau", "window_stride", "queue_norms"),
+    "output": ("dir",),
+}
 
 
 class ConfigError(ValueError):
@@ -54,10 +71,8 @@ class ConfigError(ValueError):
 class PolicyConfig:
     name: str
     type: str
-    epsilon: Optional[float] = None
-    eta: Optional[float] = None
-    boost: Optional[float] = None
-    capacity: float = 1.0
+    params: Optional[PolicyParams] = None  # mw and mw_prop only
+    capacity: float = 1.0  # offline types only
 
 
 @dataclass
@@ -71,7 +86,6 @@ class ExperimentConfig:
     burst_probability: float = 0.5
     burst_mean: Optional[float] = None
     schedule: tuple = workloads.DEFAULT_SCHEDULE
-    empty_tolerance: float = DEFAULT_EMPTY_TOLERANCE
     stride: int = 1
     assert_lemmas: bool = True
     policies: list[PolicyConfig] = field(default_factory=list)
@@ -109,6 +123,12 @@ def _parse_bool(raw: str, what: str, errors: list[str]) -> Optional[bool]:
     return None
 
 
+def _check_keys(section: str, keys, known, errors: list[str]) -> None:
+    for key in keys:
+        if key not in known:
+            errors.append(f"{section} {key}: unknown key (expected one of {', '.join(known)})")
+
+
 def _parse_schedule(raw: str, errors: list[str]):
     """Period list like 'bulk 2 3; bulk 1 2; uniform 2 3' (1-based users)."""
     schedule = []
@@ -139,12 +159,22 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
 
     if not parser.has_section("workload"):
         return None, ["missing [workload] section"], []
+    for section in parser.sections():
+        if section in SECTION_KEYS:
+            _check_keys(section, parser[section], SECTION_KEYS[section], errors)
+        elif section != "workload" and not section.startswith("policy "):
+            errors.append(
+                f"unknown section [{section}] (expected workload, run, "
+                f"policy <name>, metrics or output)"
+            )
     wl = parser["workload"]
     wl_type = wl.get("type", "").strip()
-    if wl_type not in WORKLOAD_TYPES:
+    if wl_type not in WORKLOAD_KEYS:
         errors.append(
-            f"workload type must be one of {', '.join(WORKLOAD_TYPES)}, got {wl_type!r}"
+            f"workload type must be one of {', '.join(WORKLOAD_KEYS)}, got {wl_type!r}"
         )
+    else:
+        _check_keys("workload", wl, ("type", "horizon", "sla") + WORKLOAD_KEYS[wl_type], errors)
     horizon = _parse_int(wl.get("horizon", "0"), "workload horizon", errors) or 0
     if horizon < 1:
         errors.append(f"workload horizon must be a positive integer, got {horizon}")
@@ -199,13 +229,6 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         errors.append(f"trace file not found: {trace_path}")
 
     run_sec = parser["run"] if parser.has_section("run") else {}
-    empty_tol = _parse_float(
-        run_sec.get("empty_tolerance", str(DEFAULT_EMPTY_TOLERANCE)),
-        "run empty_tolerance",
-        errors,
-    )
-    if empty_tol is not None and not (empty_tol >= 0.0 and math.isfinite(empty_tol)):
-        errors.append(f"run empty_tolerance must be finite and nonnegative, got {empty_tol}")
     stride = _parse_int(run_sec.get("stride", "1"), "run stride", errors)
     if stride is not None and stride < 1:
         errors.append(f"run stride must be a positive integer, got {stride}")
@@ -213,11 +236,6 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     if profile not in ("debug", "release"):
         errors.append(f"run profile must be debug or release, got {profile!r}")
         profile = "debug"
-    assert_lemmas = profile == "debug"  # monitors on by default in debug
-    if "assert_lemmas" in run_sec:
-        parsed = _parse_bool(run_sec["assert_lemmas"], "run assert_lemmas", errors)
-        if parsed is not None:
-            assert_lemmas = parsed
 
     policy_configs: list[PolicyConfig] = []
     for section in parser.sections():
@@ -239,43 +257,46 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
             )
             continue
         pc = PolicyConfig(name=name, type=ptype)
+        known = ["type"]
         if ptype in ("mw", "mw_prop"):
+            known += ["epsilon", "eta", "boost"]
             if "epsilon" not in sec or "eta" not in sec:
                 errors.append(f"policy {name}: type {ptype} needs epsilon and eta")
             else:
-                pc.epsilon = _parse_float(sec["epsilon"], f"policy {name} epsilon", errors)
-                pc.eta = _parse_float(sec["eta"], f"policy {name} eta", errors)
-            if "boost" in sec:
-                pc.boost = _parse_float(sec["boost"], f"policy {name} boost", errors)
-        if ptype in OFFLINE_TYPES and "capacity" in sec:
-            cap = _parse_float(sec["capacity"], f"policy {name} capacity", errors)
-            if cap is not None:
-                pc.capacity = cap
+                eps = _parse_float(sec["epsilon"], f"policy {name} epsilon", errors)
+                eta = _parse_float(sec["eta"], f"policy {name} eta", errors)
+                boost = (
+                    _parse_float(sec["boost"], f"policy {name} boost", errors)
+                    if "boost" in sec
+                    else None
+                )
+                if sla is not None and eps is not None and eta is not None:
+                    try:
+                        pc.params = PolicyParams(
+                            n_users=sla.n, epsilon=eps, eta=eta, boost=boost
+                        )
+                    except ValueError as exc:
+                        errors.append(f"policy {name}: {exc}")
+                    else:
+                        if not sla.theory_applicable(eps):
+                            warnings.append(
+                                f"policy {name}: some SLA share falls below 2*epsilon/N "
+                                f"= {2 * eps / sla.n}; the multiplicative-boost "
+                                f"guarantees need beta(i) >= 2*epsilon/N"
+                            )
+        if ptype in OFFLINE_TYPES:
+            known.append("capacity")
+            if "capacity" in sec:
+                cap = _parse_float(sec["capacity"], f"policy {name} capacity", errors)
+                if cap is not None:
+                    pc.capacity = cap
+            if not (0.0 < pc.capacity <= 1.0):
+                errors.append(f"policy {name}: capacity must lie in (0, 1], got {pc.capacity}")
+        _check_keys(section, sec, known, errors)
         policy_configs.append(pc)
     if not policy_configs:
         errors.append("no [policy <name>] sections found")
 
-    # Semantic checks needing both SLA and policies.
-    if sla is not None:
-        for pc in policy_configs:
-            if pc.type in ("mw", "mw_prop") and pc.epsilon is not None and pc.eta is not None:
-                try:
-                    params = PolicyParams(
-                        n_users=sla.n, epsilon=pc.epsilon, eta=pc.eta, boost=pc.boost
-                    )
-                except ValueError as exc:
-                    errors.append(f"policy {pc.name}: {exc}")
-                    continue
-                if not sla.theory_applicable(pc.epsilon):
-                    warnings.append(
-                        f"policy {pc.name}: some SLA share falls below 2*epsilon/N "
-                        f"= {2 * pc.epsilon / sla.n}; the multiplicative-boost "
-                        f"guarantees need beta(i) >= 2*epsilon/N"
-                    )
-            if pc.type in OFFLINE_TYPES and not (0.0 < pc.capacity <= 1.0):
-                errors.append(
-                    f"policy {pc.name}: capacity must lie in (0, 1], got {pc.capacity}"
-                )
     if wl_type == "adversary":
         for pc in policy_configs:
             if pc.type in OFFLINE_TYPES:
@@ -344,9 +365,8 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         burst_probability=burst_p,
         burst_mean=burst_mean,
         schedule=schedule,
-        empty_tolerance=empty_tol,
         stride=stride,
-        assert_lemmas=assert_lemmas,
+        assert_lemmas=profile == "debug",
         policies=policy_configs,
         work_difference=work_diff,
         sla_window_policy=sla_window_policy,
@@ -361,16 +381,19 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
 def _policy_echo(cfg: ExperimentConfig) -> list[str]:
     lines = []
     for pc in cfg.policies:
-        if pc.type in ("mw", "mw_prop"):
-            params = _instantiate(pc, cfg).params
-            if params.canonical_boost:
-                lines.append(f"policy {pc.name}: boost = {params.boost!r} (canonical)")
-            else:
-                canonical = PolicyParams(n_users=cfg.sla.n, epsilon=pc.epsilon, eta=pc.eta)
-                lines.append(
-                    f"policy {pc.name}: boost = {params.boost!r} "
-                    f"(override; canonical would be {canonical.boost!r})"
-                )
+        params = pc.params
+        if params is None:
+            continue
+        if params.canonical_boost:
+            lines.append(f"policy {pc.name}: boost = {params.boost!r} (canonical)")
+        else:
+            canonical = PolicyParams(
+                n_users=params.n_users, epsilon=params.epsilon, eta=params.eta
+            )
+            lines.append(
+                f"policy {pc.name}: boost = {params.boost!r} "
+                f"(override; canonical would be {canonical.boost!r})"
+            )
     return lines
 
 
@@ -399,21 +422,6 @@ def _build_source(cfg: ExperimentConfig):
     raise ConfigError(f"unhandled workload type {cfg.workload_type!r}")
 
 
-def _instantiate(pc: PolicyConfig, cfg: ExperimentConfig):
-    params = None
-    if pc.type in ("mw", "mw_prop"):
-        params = PolicyParams(
-            n_users=cfg.sla.n,
-            epsilon=pc.epsilon,
-            eta=pc.eta,
-            boost=pc.boost,
-            empty_tolerance=cfg.empty_tolerance,
-        )
-    return policies.make_policy(
-        pc.type, sla=cfg.sla, params=params, monitor_lemmas=cfg.assert_lemmas
-    )
-
-
 def _format(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -435,7 +443,6 @@ def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every configured policy, write CSVs and the summary file."""
-    started = time.perf_counter()
     os.makedirs(cfg.output_dir, exist_ok=True)
     shared_source = _build_source(cfg)
     shared_loads = shared_source.matrix[: cfg.horizon] if shared_source is not None else None
@@ -460,17 +467,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             loads_used = shared_loads
         else:
             if cfg.workload_type == "adversary":
-                source = workloads.QueueAdversary(tol=cfg.empty_tolerance)
+                source = workloads.QueueAdversary()
             else:
                 source = shared_source
-            policy = _instantiate(pc, cfg)
-            trace = run_simulation(
-                policy,
-                source,
-                cfg.horizon,
-                empty_tolerance=cfg.empty_tolerance,
-                stride=cfg.stride,
-            )
+            policy = policies.make_policy(pc.type, cfg.sla, pc.params, cfg.assert_lemmas)
+            trace = run_simulation(policy, source, cfg.horizon, stride=cfg.stride)
             if cfg.workload_type == "adversary":
                 loads_used = None  # reconstruct from the trace when unthinned
                 if trace.is_full:
@@ -501,9 +502,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             summary[f"policy.{pc.name}.offline_gap"] = opt0 - float(
                 traces[pc.name].total_work.sum()
             )
-        if pc.type in ("mw", "mw_prop"):
+        if pc.params is not None:
             summary[f"policy.{pc.name}.offline_optimal_rest"] = (
-                offline.offline_optimal_value(loads_used, pc.epsilon)
+                offline.offline_optimal_value(loads_used, pc.params.epsilon)
             )
         total = float(traces[pc.name].total_work.sum())
         if total > opt0 + WORK_CAP_SLACK:
@@ -546,7 +547,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             summary[f"{prefix}.user{i + 1}.mean"] = float(stats.means[i])
             summary[f"{prefix}.user{i + 1}.std"] = float(stats.stds[i])
 
-    summary["wallclock_seconds"] = time.perf_counter() - started
     with open(os.path.join(cfg.output_dir, "summary"), "w", encoding="utf-8") as fh:
         for key, value in summary.items():
             fh.write(f"{key}={_format(value)}\n")
@@ -582,6 +582,7 @@ def main(argv=None) -> int:
         print(f"ok: {args.config}")
         return 0
 
+    started = time.perf_counter()
     try:
         summary = run_experiment(cfg)
     except (ConfigError, workloads.TraceFormatError) as exc:
@@ -593,7 +594,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {cfg.output_dir}/summary ({len(summary)} keys)")
+    elapsed = time.perf_counter() - started
+    print(f"wrote {cfg.output_dir}/summary ({len(summary)} keys) in {elapsed:.2f} s")
     return 0
 
 

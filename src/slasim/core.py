@@ -15,6 +15,10 @@ of the queues and the windowed static re-simulation in `metrics` all apply
 it, so their queues agree bit for bit.  `_Recorder` keeps the trace rows
 for both the simulator and the offline greedies.
 
+`EMPTY_TOLERANCE` is the one busy/idle threshold: a queue counts as busy
+when it exceeds it.  It is a roundoff guard on the paper's "queue is
+nonempty" test, not a model parameter.
+
 Policies never see loads or queue magnitudes, only the busy/idle pattern.
 Adaptive load sources (used by the lower-bound adversary) may read the
 current step's allocation and the busy/idle pattern, nothing else.
@@ -27,7 +31,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-DEFAULT_EMPTY_TOLERANCE = 1e-12
+EMPTY_TOLERANCE = 1e-12
 
 
 class InvariantViolation(RuntimeError):
@@ -85,7 +89,6 @@ class PolicyParams:
     epsilon: float
     eta: float
     boost: Optional[float] = None
-    empty_tolerance: float = DEFAULT_EMPTY_TOLERANCE
     canonical_boost: bool = field(init=False, default=True)
 
     def __post_init__(self) -> None:
@@ -95,8 +98,6 @@ class PolicyParams:
             raise ValueError(f"epsilon must lie in (0, 1/10], got {self.epsilon}")
         if not (0.0 < self.eta <= 1.0 / 3.0):
             raise ValueError(f"eta must lie in (0, 1/3], got {self.eta}")
-        if self.empty_tolerance < 0.0:
-            raise ValueError("empty_tolerance must be nonnegative")
         derived = self.epsilon**2 / (8.0 * self.n_users)
         if self.boost is None:
             object.__setattr__(self, "boost", derived)
@@ -111,17 +112,16 @@ class PolicyParams:
             "epsilon": self.epsilon,
             "eta": self.eta,
             "boost": self.boost,
-            "empty_tolerance": self.empty_tolerance,
             "canonical_boost": self.canonical_boost,
         }
 
 
-def feedback(queue: np.ndarray, tol: float = DEFAULT_EMPTY_TOLERANCE) -> np.ndarray:
-    """Busy/idle pattern: True where the queue exceeds the emptiness tolerance."""
+def feedback(queue: np.ndarray) -> np.ndarray:
+    """Busy/idle pattern: True where the queue exceeds EMPTY_TOLERANCE."""
     queue = np.asarray(queue, dtype=np.float64)
     if np.any(queue < 0.0):
         raise ValueError("queues must be nonnegative")
-    return queue > tol
+    return queue > EMPTY_TOLERANCE
 
 
 def _update(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,14 +268,7 @@ class _Recorder:
         )
 
 
-def run(
-    policy,
-    source,
-    horizon: int,
-    *,
-    empty_tolerance: float = DEFAULT_EMPTY_TOLERANCE,
-    stride: int = 1,
-) -> SimulationTrace:
+def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
     """Drive a policy against a load source for `horizon` steps.
 
     The policy sees only the busy/idle pattern each step; the source may
@@ -299,7 +292,7 @@ def run(
     cum = np.zeros(n)
     total_load = np.zeros(n)
     for t in range(1, horizon + 1):
-        active = queue > empty_tolerance
+        active = queue > EMPTY_TOLERANCE
         alloc = policy.decide(active)
         try:
             load = source.next(t, alloc, active)

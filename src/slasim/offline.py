@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from slasim.core import (
-    DEFAULT_EMPTY_TOLERANCE,
+    EMPTY_TOLERANCE,
     DegenerateSlaError,
     SimulationTrace,
     SlaVector,
@@ -73,7 +73,7 @@ def _offline_trace(
     cum = np.zeros(n)
     for t in range(1, horizon + 1):
         load = loads[t - 1]
-        active = queue > DEFAULT_EMPTY_TOLERANCE
+        active = queue > EMPTY_TOLERANCE
         alloc = serve(queue + load)
         work, queue = _update(queue, alloc, load)
         cum = cum + work

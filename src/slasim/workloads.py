@@ -10,12 +10,11 @@ and the busy/idle pattern, nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from slasim.core import InvariantViolation, LoadExhausted, SlaVector, _update
+from slasim.core import EMPTY_TOLERANCE, InvariantViolation, LoadExhausted, SlaVector, _update
 
 GAMMA_SHAPE_DEFAULT = 2000.0
 
@@ -66,29 +65,6 @@ def example1_loads(horizon: int) -> np.ndarray:
 
 def example1_instance(horizon: int) -> PrecomputedLoads:
     return PrecomputedLoads(example1_loads(horizon))
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/scale parameterization; mean = shape * scale,
-    variance = shape * scale**2."""
-
-    shape: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if not (self.shape > 0.0 and math.isfinite(self.shape)):
-            raise ValueError(f"shape must be positive and finite, got {self.shape}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale**2
 
 
 # Six equal periods; each names a pair of users.  "bulk" drops one big job
@@ -275,11 +251,9 @@ class QueueAdversary:
 
     INIT, OPEN, ECHO, DRAIN, CLOSE = range(5)
 
-    def __init__(self, assert_growth: bool = True, tol: float = 1e-12):
+    def __init__(self):
         self.n_users = 2
         self.horizon: Optional[int] = None
-        self.assert_growth = assert_growth
-        self.tol = tol
         self.reset()
 
     def reset(self) -> None:
@@ -293,20 +267,19 @@ class QueueAdversary:
         self.eps_close = 0.0  # sliver left on the drained side before closing
         self.phase_log: list[tuple[int, int, float]] = []  # (phase, end step, backlog)
 
-    def _close_phase(self, t: int, queue_after: np.ndarray) -> None:
-        backlog = float(queue_after.sum())
+    def _close_phase(self, t: int) -> None:
+        backlog = float(self.queue.sum())
         growth = backlog - self.phase_backlog
         floor = 0.5 if self.phase_index == 1 else 0.25
-        if self.assert_growth:
-            if growth < floor - 1e-9:
-                raise InvariantViolation(
-                    f"adversary phase {self.phase_index} grew backlog by {growth}, "
-                    f"expected at least {floor}"
-                )
-            if queue_after.min() > self.tol:
-                raise InvariantViolation(
-                    f"adversary phase {self.phase_index} ended with both queues nonempty"
-                )
+        if growth < floor - 1e-9:
+            raise InvariantViolation(
+                f"adversary phase {self.phase_index} grew backlog by {growth}, "
+                f"expected at least {floor}"
+            )
+        if self.queue.min() > EMPTY_TOLERANCE:
+            raise InvariantViolation(
+                f"adversary phase {self.phase_index} ended with both queues nonempty"
+            )
         self.phase_log.append((self.phase_index, t, backlog))
         self.phase_index += 1
         self.phase_backlog = backlog
@@ -317,7 +290,7 @@ class QueueAdversary:
         h = np.asarray(alloc, dtype=np.float64)
         if h.size != 2:
             raise ValueError("the adversary drives exactly 2 users")
-        if active is not None and np.any((self.queue > self.tol) != active):
+        if active is not None and np.any((self.queue > EMPTY_TOLERANCE) != active):
             raise InvariantViolation(
                 f"step {t}: adversary's mirrored queues disagree with the "
                 f"simulator's busy/idle pattern"
@@ -326,62 +299,51 @@ class QueueAdversary:
         b = self.side
         a = 1 - b
         q = self.queue
+        mode = self.mode
         self.rel_step += 1
-        if self.mode != self.INIT and self.rel_step > 8.0 * max(self.phase_backlog, 1.0) + 64.0:
+        if mode != self.INIT and self.rel_step > 8.0 * max(self.phase_backlog, 1.0) + 64.0:
             raise InvariantViolation(
                 f"adversary phase {self.phase_index} exceeded its step budget at "
                 f"step {t}; the driven policy starves the drain"
             )
 
-        if self.mode == self.INIT:
+        # Each branch only picks this step's loads and whether the phase
+        # closes; the queue update and the phase bookkeeping follow once.
+        close = False
+        if mode == self.INIT:
             # Put the first unit of load against the larger allocation:
             # the user holding the smaller one cannot finish it.
-            b = 0 if h[0] <= h[1] else 1
-            self.side = b
+            self.side = 0 if h[0] <= h[1] else 1
             self.phase_index = 1
             self.phase_backlog = 0.0
+            load[self.side] = 1.0
+            close = True
+        elif mode in (self.OPEN, self.ECHO) and h[a] >= 0.5:
+            # The empty side hoards the resource (side a holds at most the
+            # planted sliver); load the other side so at least half the
+            # capacity is wasted.
             load[b] = 1.0
-            _, self.queue = _update(q, h, load)
-            self._close_phase(t, self.queue)
-            return load
-
-        if self.mode == self.OPEN:
-            if h[a] >= 0.5:
-                # The empty side hoards the resource; load the other side
-                # so at least half the capacity is wasted.
-                load[b] = 1.0
-                _, self.queue = _update(q, h, load)
-                self._close_phase(t, self.queue)
-                return load
+            close = True
+        elif mode == self.OPEN:
             self.eps_open = min(0.125, (1.0 - h[a]) / 2.0)
             load[a] = h[a] + self.eps_open
             load[b] = 1.0 - load[a]
-            _, self.queue = _update(q, h, load)
             self.mode = self.ECHO
-            return load
-
-        if self.mode == self.ECHO:
-            if h[a] >= 0.5:
-                # Waste move: side a holds only the planted sliver, so at
-                # least half the capacity misses its queue.
-                load[b] = 1.0
-                _, self.queue = _update(q, h, load)
-                self._close_phase(t, self.queue)
-                return load
-            if self.rel_step <= 2.0 * self.phase_backlog + 1.0:
-                # Echo: feed side a exactly its allocation (its queue stays
-                # at the sliver), side b the rest; feedback stays busy/busy.
-                load[a] = h[a]
-                load[b] = 1.0 - h[a]
-                _, self.queue = _update(q, h, load)
-                return load
-            self.mode = self.DRAIN  # the watch window expired
-
-        if self.mode == self.DRAIN:
-            if q[b] - h[b] > 0.125:
-                load[a] = 1.0  # drain side b, pile up side a
-                _, self.queue = _update(q, h, load)
-                return load
+        elif mode == self.ECHO and self.rel_step <= 2.0 * self.phase_backlog + 1.0:
+            # Echo: feed side a exactly its allocation (its queue stays at
+            # the sliver), side b the rest; feedback stays busy/busy.
+            load[a] = h[a]
+            load[b] = 1.0 - h[a]
+        elif mode == self.CLOSE:
+            # One more unit on side a finishes side b's sliver and wastes
+            # the rest of side b's allocation.
+            load[a] = 1.0
+        elif q[b] - h[b] > 0.125:
+            # Drain side b, pile up side a (entered when the echo's watch
+            # window expires).
+            load[a] = 1.0
+            self.mode = self.DRAIN
+        else:
             # Side b is within one step of the sliver target; top it up so
             # exactly eps_close remains and feedback still reads busy/busy.
             # The max() keeps the balancing load nonnegative when the
@@ -389,15 +351,12 @@ class QueueAdversary:
             self.eps_close = max(min(0.125, q[b] / 2.0), q[b] - h[b])
             load[b] = min(max(h[b] - q[b] + self.eps_close, 0.0), 1.0)
             load[a] = 1.0 - load[b]
-            _, self.queue = _update(q, h, load)
             self.mode = self.CLOSE
-            return load
 
-        # CLOSE: one more unit on side a finishes side b's sliver and
-        # wastes the rest of side b's allocation.
-        load[a] = 1.0
         _, self.queue = _update(q, h, load)
-        if self.queue[b] <= self.tol:
+        if mode == self.CLOSE and self.queue[b] <= EMPTY_TOLERANCE:
             self.side = a  # the backlog has moved across
-            self._close_phase(t, self.queue)
+            close = True
+        if close:
+            self._close_phase(t)
         return load

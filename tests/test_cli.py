@@ -217,6 +217,10 @@ def _bounded_with(section: str, line: str) -> str:
     return BOUNDED.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
 
 
+def _bounded_plus(section: str, *lines: str) -> str:
+    return BOUNDED + f"\n[{section}]\n" + "".join(f"{line}\n" for line in lines)
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -226,16 +230,50 @@ def _bounded_with(section: str, line: str) -> str:
         pytest.param(_bounded_with("workload", "p = 0"), "workload p", id="p-zero"),
         pytest.param(_bounded_with("workload", "mean = -1"), "workload mean", id="mean-negative"),
         pytest.param(_bounded_with("run", "stride = 0"), "run stride", id="stride-zero"),
-        pytest.param(
-            _bounded_with("run", "empty_tolerance = -1"),
-            "run empty_tolerance",
-            id="empty_tolerance-negative",
-        ),
         pytest.param(_bounded_with("metrics", "tau = 0"), "metrics tau", id="tau-zero"),
         pytest.param(
             _bounded_with("metrics", "window_stride = 0"),
             "metrics window_stride",
             id="window_stride-zero",
+        ),
+        # Keys and sections nothing reads are config errors naming the
+        # section and key, never dropped in favour of a default.
+        pytest.param(
+            _bounded_with("run", "empty_tolerance = -1"),
+            "run empty_tolerance: unknown key",
+            id="empty_tolerance-negative",
+        ),
+        pytest.param(
+            _bounded_with("run", "assert_lemmas = true"),
+            "run assert_lemmas: unknown key",
+            id="assert_lemmas-unknown",
+        ),
+        pytest.param(
+            _bounded_plus("policy pg", "type = pg", "capcity = 0.98"),
+            "policy pg capcity: unknown key",
+            id="misspelled-policy-key",
+        ),
+        pytest.param(
+            _bounded_plus(
+                "policy m", "type = mw_prop", "epsilon = 0.05", "eta = 0.3", "capacity = 0.5"
+            ),
+            "policy m capacity: unknown key",
+            id="offline-key-under-mw_prop",
+        ),
+        pytest.param(
+            _bounded_with("workload", "path = loads.csv"),
+            "workload path: unknown key",
+            id="trace-key-under-bernoulli_gamma",
+        ),
+        pytest.param(
+            _bounded_with("policy s", "epsilon = 0.05"),
+            "policy s epsilon: unknown key",
+            id="mw-key-under-static",
+        ),
+        pytest.param(
+            _bounded_plus("metric", "tau = 30"),
+            "unknown section [metric]",
+            id="unknown-section",
         ),
     ],
 )
@@ -292,13 +330,10 @@ def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "out"
     path = _write(tmp_path, GOOD.format(out=out))
     assert cli.main(["run", path]) == 0
-    first = {
-        p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"
-    }
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert cli.main(["run", path]) == 0
-    second = {
-        p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"
-    }
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "summary" in first
     assert first == second
 
 

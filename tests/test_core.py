@@ -48,7 +48,7 @@ def test_step_rejects_negative_and_mismatched_inputs():
 
 def test_feedback_is_strict_above_tolerance():
     q = np.array([0.0, 1e-12, 2e-12, 0.5])
-    assert np.array_equal(feedback(q, tol=1e-12), [False, False, True, True])
+    assert np.array_equal(feedback(q), [False, False, True, True])
     with pytest.raises(ValueError):
         feedback(np.array([-0.1]))
 
