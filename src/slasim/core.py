@@ -102,8 +102,9 @@ class PolicyParams:
         if self.boost is None:
             object.__setattr__(self, "boost", derived)
         else:
-            if self.boost <= 0.0:
-                raise ValueError("boost must be positive")
+            # Also rejects inf and NaN, for which boost * 0 is NaN in the gain.
+            if not 0.0 < self.boost < np.inf:
+                raise ValueError(f"boost must be positive and finite, got {self.boost}")
             object.__setattr__(self, "canonical_boost", bool(self.boost == derived))
 
     def as_dict(self) -> dict:

@@ -51,8 +51,7 @@ def _gain(
     else:
         threshold = beta
     under = active & (h < threshold)
-    gain = np.where(active, np.where(under, 1.0 + boost, 1.0), 0.0)
-    return gain, under
+    return active + boost * under, under
 
 
 class MultiplicativeWeights:
@@ -121,35 +120,31 @@ class MultiplicativeWeights:
         t = self._t
         usage = float(h[active].sum())
         if usage <= 1.0 - self.params.epsilon:
-            bound = (1.0 + self._growth) * h[active]
-            if np.any(h_new[active] < bound - LEMMA_SLACK):
+            if (active & (h_new < (1.0 + self._growth) * h - LEMMA_SLACK)).any():
                 raise LemmaViolation(
                     f"step {t}: active user allocation grew less than the "
                     f"(1 + eps*eta/4N) factor at low usage"
                 )
-        served = active & ~under
         if not self.proportional:
-            if np.any(h_new[under] < h[under] - LEMMA_SLACK):
+            if (under & (h_new < h - LEMMA_SLACK)).any():
                 raise LemmaViolation(
                     f"step {t}: underserved allocation decreased"
                 )
-            shrink = (1.0 - self.params.epsilon * self._growth) * h[served]
-            if np.any(h_new[served] < shrink - LEMMA_SLACK):
+            shrink = 1.0 - self.params.epsilon * self._growth
+            if (active & ~under & (h_new < shrink * h - LEMMA_SLACK)).any():
                 raise LemmaViolation(
                     f"step {t}: served active allocation shrank below the "
                     f"(1 - eps*c) factor"
                 )
             if self._floor_ok:
-                bound = (1.0 + self._boost_growth) * h[under]
-                if np.any(h_new[under] < bound - LEMMA_SLACK):
+                if (under & (h_new < (1.0 + self._boost_growth) * h - LEMMA_SLACK)).any():
                     raise LemmaViolation(
                         f"step {t}: underserved allocation grew less than the "
                         f"(1 + c') boost factor"
                     )
         else:
             if usage > 1.0 - self.params.epsilon:
-                bound = (1.0 + self._boost_growth) * h[under]
-                if np.any(h_new[under] < bound - LEMMA_SLACK):
+                if (under & (h_new < (1.0 + self._boost_growth) * h - LEMMA_SLACK)).any():
                     raise LemmaViolation(
                         f"step {t}: underserved allocation grew less than the "
                         f"(1 + c') boost factor at high usage"

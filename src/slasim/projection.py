@@ -9,8 +9,17 @@ the point ``x`` of that set minimizing the relative entropy
 The minimizer has a simple structure: sort the coordinates of ``y``
 ascending, clip some prefix of them to the floor ``eps / n``, and rescale
 the rest by a common factor so the total is one.  The smallest prefix that
-leaves all unclipped coordinates at or above the floor is the optimal one,
-so a single pass over candidate prefix sizes finds it in O(n log n).
+leaves all unclipped coordinates at or above the floor is the optimal one.
+
+Only the sorted values are needed, not the permutation, so the cost is one
+``np.sort`` plus O(n) work.  A suffix cumsum of the sorted values gives the
+rescale factor of every candidate prefix size at once, and an ``argmax``
+over the mask of qualifying candidates picks the smallest.  Every
+unclipped coordinate is then ``y(i)`` times that factor.  Coordinates
+strictly below the first unclipped sorted value are clipped; when that
+value is tied with the last clipped one, the tied coordinates of lowest
+index are clipped too, until the prefix size is reached, which is the
+order a stable sort would give them.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"expected a 1-d vector with at least 2 entries, got shape {y.shape}")
-    if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
+    ys = np.sort(y)  # a NaN sorts last
+    if not (ys[0] > 0.0 and ys[-1] < np.inf):
         raise ValueError("weights must be finite and strictly positive")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -42,28 +52,34 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
     n = y.size
     floor = eps / n
     # Scale invariance: work with y / max(y) so huge or tiny inputs behave.
-    y = y / y.max()
-
-    order = np.argsort(y, kind="stable")  # ties break by original index
-    ys = y[order]
+    # Dividing by a positive scalar keeps the order, so ys stays y sorted.
+    top = ys[-1]
+    y = y / top
+    ys = ys / top
     # suffix[k] = sum of ys[k:]
     suffix = np.cumsum(ys[::-1])[::-1]
 
     # Clipped coordinates form a prefix of the ascending order.  Take the
     # first prefix size whose rescale keeps the smallest unclipped entry at
     # the floor or above; size n-1 always qualifies.
-    k = n - 1
-    scale = (1.0 - floor * (n - 1)) / suffix[n - 1]
-    for cand in range(n - 1):
-        c = (1.0 - floor * cand) / suffix[cand]
-        if ys[cand] * c >= floor:
-            k = cand
-            scale = c
-            break
+    scales = (1.0 - floor * np.arange(n - 1)) / suffix[:-1]
+    ok = ys[:-1] * scales >= floor
+    k = int(ok.argmax())
+    if ok[k]:
+        scale = scales[k]
+    else:
+        k = n - 1
+        scale = (1.0 - floor * k) / suffix[k]
 
-    x = np.empty(n)
-    x[order[:k]] = floor
-    x[order[k:]] = ys[k:] * scale
+    x = y * scale
+    if k:
+        low = ys[k]
+        clip = y < low
+        if ys[k - 1] == low:
+            # Clip the lowest-index entries tied with ys[k] until k are clipped.
+            tied = np.flatnonzero(y == low)
+            clip[tied[: k - np.count_nonzero(clip)]] = True
+        x[clip] = floor
     return x
 
 

@@ -176,3 +176,6 @@ def test_policy_params_validation_and_canonical_boost():
         PolicyParams(n_users=2, epsilon=0.05, eta=0.4)
     with pytest.raises(ValueError):
         PolicyParams(n_users=2, epsilon=0.05, eta=0.1, boost=-1.0)
+    for boost in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="boost must be positive and finite"):
+            PolicyParams(n_users=2, epsilon=0.05, eta=0.1, boost=boost)

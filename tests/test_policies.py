@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from slasim import PolicyParams, SlaVector, run
-from slasim.core import DegenerateSlaError
+from slasim.core import DegenerateSlaError, LemmaViolation
 from slasim.policies import (
+    LEMMA_SLACK,
     MultiplicativeWeights,
     OnlineProportional,
     OnlineWorkMaximizing,
@@ -60,6 +61,15 @@ def test_exact_share_counts_as_served():
     assert not under.any()
     _, under = _gain(h - 1e-9, active, sla.beta, 0.05, 1.0, proportional=False)
     assert under.all()
+
+
+def test_gain_is_exactly_zero_one_or_one_plus_boost():
+    beta = np.array([0.5, 0.25, 0.25])
+    h = np.array([0.2, 0.4, 0.4])
+    boost = 0.1
+    gain, under = _gain(h, np.array([True, True, False]), beta, 0.05, boost, False)
+    assert list(under) == [True, False, False]
+    assert np.array_equal(gain, [1.0 + boost, 1.0, 0.0])
 
 
 def test_underserved_user_gains_on_served_user():
@@ -232,6 +242,47 @@ def test_low_usage_growth_bound_triggers_when_violated():
     bad = np.array([0.04, 0.96])  # active user 0 shrank
     with pytest.raises(Exception, match="grew less"):
         policy._check_lemmas(h, bad, np.array([True, False]), np.array([False, False]))
+
+
+_USER0 = np.array([True, False])
+
+
+@pytest.mark.parametrize(
+    "proportional, h_new, message",
+    [
+        pytest.param(False, [0.29, 0.71], "underserved allocation decreased", id="under-shrank"),
+        pytest.param(False, [0.32, 0.68], "served active allocation shrank", id="served-shrank"),
+        pytest.param(False, [0.3, 0.7], r"\(1 \+ c'\) boost factor$", id="basic-boost"),
+        pytest.param(True, [0.3, 0.7], r"boost factor at high usage$", id="prop-boost"),
+    ],
+)
+def test_each_monitor_trips_on_a_poisoned_update(proportional, h_new, message):
+    # Two users with SLA (0.5, 0.5) move from h = (0.3, 0.7) to a hand-poisoned
+    # h_new.  Both are active and user 0 is underserved, so usage is 1 > 1 - eps
+    # and the low-usage monitor stays quiet; each case breaks one other monitor.
+    sla = SlaVector(np.array([0.5, 0.5]))
+    policy = MultiplicativeWeights(
+        sla, _params(2), proportional=proportional, monitor_lemmas=True
+    )
+    assert policy._floor_ok  # shares 0.5 clear the 2*eps/N floor
+    policy.reset(2)
+    h = np.array([0.3, 0.7])
+    with pytest.raises(LemmaViolation, match=message):
+        policy._check_lemmas(h, np.array(h_new), np.array([True, True]), _USER0)
+
+
+def test_monitor_slack_is_absolute():
+    # A shortfall below the low-usage bound (1 + eps*eta/4N) * h passes
+    # within LEMMA_SLACK and raises beyond it.
+    sla = SlaVector(np.array([0.5, 0.5]))
+    policy = MultiplicativeWeights(sla, _params(2), monitor_lemmas=True)
+    policy.reset(2)
+    h = np.array([0.05, 0.95])
+    bound = (1.0 + policy._growth) * h[0]
+    none = np.array([False, False])
+    policy._check_lemmas(h, np.array([bound - 0.5 * LEMMA_SLACK, 0.95]), _USER0, none)
+    with pytest.raises(LemmaViolation, match="grew less"):
+        policy._check_lemmas(h, np.array([bound - 2.0 * LEMMA_SLACK, 0.95]), _USER0, none)
 
 
 def test_factory_builds_each_policy():

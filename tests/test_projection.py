@@ -10,9 +10,37 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slasim import kl_divergence, project_truncated_simplex
+
+
+def _reference_projection(y: np.ndarray, eps: float) -> np.ndarray:
+    """The projection as an argsort and a loop over prefix sizes.
+
+    project_truncated_simplex does the same arithmetic on the sorted values
+    alone and must match this bit for bit; here ties at the clip boundary
+    break by index through the stable argsort.
+    """
+    n = y.size
+    floor = eps / n
+    y = y / y.max()
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    suffix = np.cumsum(ys[::-1])[::-1]
+    k = n - 1
+    scale = (1.0 - floor * (n - 1)) / suffix[n - 1]
+    for cand in range(n - 1):
+        c = (1.0 - floor * cand) / suffix[cand]
+        if ys[cand] * c >= floor:
+            k = cand
+            scale = c
+            break
+    x = np.empty(n)
+    x[order[:k]] = floor
+    x[order[k:]] = ys[k:] * scale
+    return x
 
 
 def _two_user_oracle(y: np.ndarray, eps: float) -> np.ndarray:
@@ -74,10 +102,9 @@ def test_scale_invariance_power_of_two_is_exact():
 
 
 def test_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        project_truncated_simplex(np.array([1.0, 0.0]), eps=0.1)
-    with pytest.raises(ValueError):
-        project_truncated_simplex(np.array([1.0, np.inf]), eps=0.1)
+    for y in ([1.0, 0.0], [1.0, np.inf], [1.0, np.nan], [-np.inf, 1.0], [1.0, -2.0, 3.0]):
+        with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+            project_truncated_simplex(np.array(y), eps=0.1)
     with pytest.raises(ValueError):
         project_truncated_simplex(np.array([1.0]), eps=0.1)
     with pytest.raises(ValueError):
@@ -177,3 +204,77 @@ def test_projection_preserves_input_ordering(ys, eps):
     x = project_truncated_simplex(y, eps)
     order = np.argsort(y, kind="stable")
     assert np.all(np.diff(x[order]) >= -1e-12)
+
+
+# ------------------------------------------- bitwise match with the reference
+
+sizes = st.integers(min_value=2, max_value=1000)
+# eps anywhere in (0, 1), and close to each end
+epsilons = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e-12, max_value=1e-3),
+    st.floats(min_value=0.99, max_value=1.0 - 1e-12),
+)
+# Entries log-uniform over up to 600 decades: normalizing by the max can
+# underflow the smallest to subnormals or zero.
+spread_vectors = st.builds(
+    lambda n, decades, seed: 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, n),
+    sizes,
+    st.floats(min_value=0.0, max_value=300.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@st.composite
+def repeated_values(draw):
+    """Entries drawn from a handful of values, so ties are everywhere."""
+    pool = np.array(
+        draw(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=4))
+    )
+    n = draw(sizes)
+    return pool[draw(arrays(np.intp, n, elements=st.integers(0, pool.size - 1)))]
+
+
+@st.composite
+def tied_at_floor(draw):
+    """A tied group that the projection maps exactly onto the floor, plus
+    larger entries: roundoff then decides which members of the group each
+    candidate prefix clips, so partial clips of a tie occur."""
+    eps = draw(st.floats(min_value=0.01, max_value=0.999))
+    tied = draw(st.integers(min_value=2, max_value=600))
+    rest = draw(
+        arrays(np.float64, draw(st.integers(1, 400)), elements=st.floats(0.3, 1.0))
+    )
+    floor = eps / (tied + rest.size)
+    value = floor * rest.sum() / (1.0 - floor * tied)
+    y = np.concatenate([np.full(tied, value), rest])
+    np.random.default_rng(draw(st.integers(0, 2**32 - 1))).shuffle(y)
+    return y, eps
+
+
+def _assert_matches_reference(y: np.ndarray, eps: float) -> None:
+    x = project_truncated_simplex(y, eps)
+    assert np.array_equal(x, _reference_projection(y, eps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=spread_vectors, eps=epsilons)
+def test_matches_reference_across_magnitudes(y, eps):
+    _assert_matches_reference(y, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=repeated_values(), eps=epsilons)
+def test_matches_reference_with_repeated_values(y, eps):
+    _assert_matches_reference(y, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tied_at_floor())
+# The two lowest-index tied entries are clipped to 0.23; the third is
+# rescaled to 0.23000000000000004.
+@example(
+    case=(np.array([0.7419354838709679, 1.0, 0.7419354838709679, 0.7419354838709679]), 0.92)
+)
+def test_matches_reference_with_ties_at_the_clip_boundary(case):
+    _assert_matches_reference(*case)
