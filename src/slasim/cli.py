@@ -429,16 +429,17 @@ def _format(value) -> str:
 
 
 def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
+    # Each value is written as the repr of a Python float, as _format does.
+    steps = report.steps.tolist()
+    values = np.asarray(report.values, dtype=np.float64)
+    if values.ndim == 1:
+        header = "t,value"
+        rows = [f"{t},{v!r}" for t, v in zip(steps, values.tolist())]
+    else:
+        header = "t," + ",".join(f"user{i + 1}" for i in range(values.shape[1]))
+        rows = [f"{t}," + ",".join(map(repr, row)) for t, row in zip(steps, values.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        if report.values.ndim == 1:
-            fh.write("t,value\n")
-            for t, v in zip(report.steps, report.values):
-                fh.write(f"{t},{_format(float(v))}\n")
-        else:
-            names = ",".join(f"user{i + 1}" for i in range(report.values.shape[1]))
-            fh.write(f"t,{names}\n")
-            for t, row in zip(report.steps, report.values):
-                fh.write(str(t) + "," + ",".join(_format(float(v)) for v in row) + "\n")
+        fh.write("\n".join([header, *rows, ""]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -110,6 +110,13 @@ def proportional_greedy(
     recurse on the rest, otherwise hand everyone their proportional offer.
     Also completes min(capacity, total pending) per step when all shares
     are positive, so the total matches simple_greedy; the split is fairer.
+
+    A user's pending/share ratio does not change while others are served
+    fully, so one stable sort of the backlogged users by that ratio gives
+    the tightest-first order of every round (zero shares sort last, in
+    index order).  Each round's share total is numpy's sum over the
+    still-backlogged shares: numpy sums 8 or more values pairwise, so a
+    running Python total would differ from it in the last bits.
     """
     loads = _check_loads(loads)
     if loads.shape[1] != sla.n:
@@ -117,38 +124,35 @@ def proportional_greedy(
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
     beta = sla.beta
+    shares = beta.tolist()
     positive = beta > 0.0
     all_positive = bool(positive.all())
+    ratio = np.full(sla.n, np.inf)  # zero shares stay inf: divide skips them
 
     def serve(pending: np.ndarray) -> np.ndarray:
-        remaining = pending.copy()
+        if all_positive and pending.sum() <= capacity:
+            return pending.copy()  # everything fits
+        busy = pending > 0.0
+        backlogged = busy.nonzero()[0]
+        np.divide(pending, beta, out=ratio, where=positive)
+        rest = pending.tolist()
+        work = np.zeros(pending.size)
         left = capacity
-        total = remaining.sum()
-        if all_positive and total <= left:
-            return remaining  # everything fits
-        work = np.zeros_like(remaining)
-        while left > 0.0:
-            busy = remaining > 0.0
-            if not busy.any():
-                break
-            share_total = beta[busy].sum()
+        for tight in backlogged[ratio[backlogged].argsort(kind="stable")].tolist():
+            share_total = float(beta[busy].sum())
             if share_total <= 0.0:
                 raise DegenerateSlaError(
                     "all backlogged users have zero SLA share; proportional split undefined"
                 )
-            # tightest user: least pending work per unit of SLA share
-            ratio = np.full(remaining.size, np.inf)
-            np.divide(remaining, beta, out=ratio, where=busy & positive)
-            tight = int(np.argmin(ratio))
-            if remaining[tight] < (beta[tight] / share_total) * left:
-                left -= remaining[tight]
-                work[tight] += remaining[tight]
-                remaining[tight] = 0.0
+            if rest[tight] < (shares[tight] / share_total) * left:
+                left -= rest[tight]
+                work[tight] = rest[tight]
+                busy[tight] = False
+                if left <= 0.0:
+                    break
             else:
-                offer = (beta / share_total) * left
-                work[busy] += offer[busy]
-                remaining[busy] -= offer[busy]
-                left = 0.0
+                np.copyto(work, (beta / share_total) * left, where=busy)
+                break
         return work
 
     return _offline_trace(

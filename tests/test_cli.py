@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from slasim import cli
+from slasim import cli, metrics
 from slasim.core import InvariantViolation
 
 
@@ -335,6 +335,33 @@ def test_rerun_is_byte_identical(tmp_path):
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert "summary" in first
     assert first == second
+
+
+def test_series_csv_bytes_are_float_reprs(tmp_path):
+    # The smallest subnormal, a tiny normal, a rounded sum, an integral
+    # float past 2**53 and a negative difference, as work_difference has.
+    steps = np.array([1, 2, 3, 4, 5], dtype=np.int64)
+    values = np.array([5e-324, 1e-300, 0.1 + 0.2, 1e16, 0.1 - 0.3])
+    path = tmp_path / "series.csv"
+    cli._write_series(str(path), metrics.SeriesReport("s", steps, values))
+    assert path.read_bytes() == (
+        b"t,value\n"
+        b"1,5e-324\n"
+        b"2,1e-300\n"
+        b"3,0.30000000000000004\n"
+        b"4,1e+16\n"
+        b"5,-0.19999999999999998\n"
+    )
+    per_user = np.stack([values, -values[::-1]], axis=1)
+    cli._write_series(str(path), metrics.SeriesReport("s", steps, per_user))
+    assert path.read_bytes() == (
+        b"t,user1,user2\n"
+        b"1,5e-324,0.19999999999999998\n"
+        b"2,1e-300,-1e+16\n"
+        b"3,0.30000000000000004,-0.30000000000000004\n"
+        b"4,1e+16,-1e-300\n"
+        b"5,-0.19999999999999998,-5e-324\n"
+    )
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

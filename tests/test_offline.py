@@ -2,20 +2,73 @@
 
 from __future__ import annotations
 
+import dataclasses
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slasim import SlaVector
 from slasim.core import DegenerateSlaError
 from slasim.offline import (
     DualSolution,
     InfeasibleDualError,
+    _check_loads,
+    _offline_trace,
     dual_value,
     offline_optimal_value,
     proportional_greedy,
     simple_greedy,
     switch_dual,
 )
+
+
+def _reference_proportional_greedy(loads, sla, capacity=1.0, stride=1):
+    """proportional_greedy as an argmin over every user in each round.
+
+    proportional_greedy walks one stable sort of the backlogged users
+    instead; both must give the same trace bit for bit.  This form loops
+    forever once every backlogged ratio overflows to inf, so keep ratios
+    finite when calling it.
+    """
+    loads = _check_loads(loads)
+    beta = sla.beta
+    positive = beta > 0.0
+    all_positive = bool(positive.all())
+
+    def serve(pending):
+        remaining = pending.copy()
+        left = capacity
+        if all_positive and remaining.sum() <= left:
+            return remaining
+        work = np.zeros_like(remaining)
+        while left > 0.0:
+            busy = remaining > 0.0
+            if not busy.any():
+                break
+            share_total = beta[busy].sum()
+            if share_total <= 0.0:
+                raise DegenerateSlaError(
+                    "all backlogged users have zero SLA share; proportional split undefined"
+                )
+            ratio = np.full(remaining.size, np.inf)
+            np.divide(remaining, beta, out=ratio, where=busy & positive)
+            tight = int(np.argmin(ratio))
+            if remaining[tight] < (beta[tight] / share_total) * left:
+                left -= remaining[tight]
+                work[tight] += remaining[tight]
+                remaining[tight] = 0.0
+            else:
+                offer = (beta / share_total) * left
+                work[busy] += offer[busy]
+                remaining[busy] -= offer[busy]
+                left = 0.0
+        return work
+
+    return _offline_trace(
+        loads, "pg", serve, {"name": "pg", "capacity": capacity}, sla=sla, stride=stride
+    )
 
 
 def test_optimal_value_hand_cases():
@@ -79,6 +132,87 @@ def test_proportional_greedy_degenerate_shares():
     # Only the zero-share user is backlogged and capacity remains.
     with pytest.raises(DegenerateSlaError):
         proportional_greedy(np.array([[0.5, 0.0], [0.5, 0.0]]), sla)
+
+
+def test_proportional_greedy_returns_when_a_ratio_overflows():
+    # User 2's pending/share ratio overflows to inf.  An argmin over every
+    # user then picks idle user 1, whose full-serve test holds with nothing
+    # to serve, and the round repeats forever.
+    def timeout(signum, frame):
+        raise TimeoutError("proportional_greedy did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with np.errstate(over="ignore"):
+            trace = proportional_greedy(
+                np.array([[0.0, 1e10]]), SlaVector(np.array([0.5, 1e-300]))
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.array_equal(trace.work[0], [0.0, 1.0])
+    assert np.array_equal(trace.final_queue, [0.0, 1e10 - 1.0])
+
+
+@st.composite
+def pg_instances(draw):
+    """Loads, shares, capacity and stride for proportional_greedy.
+
+    N crosses 8, where numpy's sums turn pairwise.  Shares are zero, equal,
+    drawn from a few values or spread; load rows repeat or take a few
+    values, so ratios tie.  Every positive share is at least 0.01/N of the
+    total and loads stay below about 50, so pending/share never overflows.
+    """
+    n = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shares = draw(st.sampled_from(["spread", "zeros", "equal", "few"]))
+    beta = rng.uniform(0.01, 1.0, n)
+    if shares == "zeros":
+        beta[rng.random(n) < 0.4] = 0.0
+        beta[rng.integers(n)] = 0.5
+    elif shares == "equal":
+        beta[:] = 1.0
+    elif shares == "few":
+        beta = rng.choice([1.0, 2.0, 3.0], n)
+    beta = beta / beta.sum() * draw(st.sampled_from([1.0, 0.8]))
+    horizon = draw(st.integers(min_value=1, max_value=25))
+    mean = draw(st.sampled_from([0.3, 1.0, 2.0])) / n
+    loads = rng.exponential(mean, (horizon, n)) * (rng.random((horizon, n)) < 0.7)
+    rows = draw(st.sampled_from(["random", "repeated", "few"]))
+    if rows == "repeated":
+        loads[:] = loads[0]
+    elif rows == "few":
+        loads = rng.choice([0.0, mean, 2.0 * mean], (horizon, n))
+    capacity = draw(st.sampled_from([1.0, 0.9, 0.37, 1e-3]))
+    stride = draw(st.integers(min_value=1, max_value=4))
+    return loads, SlaVector(beta), capacity, stride
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateSlaError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=pg_instances())
+def test_proportional_greedy_matches_argmin_reference_bitwise(instance):
+    loads, sla, capacity, stride = instance
+    got = _outcome(proportional_greedy, loads, sla, capacity, stride)
+    want = _outcome(_reference_proportional_greedy, loads, sla, capacity, stride)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, SlaVector):
+            a, b = a.beta, b.beta
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_greedies_match_closed_form_optimum(rng):
