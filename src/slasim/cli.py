@@ -422,6 +422,9 @@ def _build_source(cfg: ExperimentConfig):
     raise ConfigError(f"unhandled workload type {cfg.workload_type!r}")
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _format(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -430,16 +433,23 @@ def _format(value) -> str:
 
 def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
     # Each value is written as the repr of a Python float, as _format does.
-    steps = report.steps.tolist()
+    # Rows are formatted a block at a time, so memory stays flat on long series.
+    steps = np.asarray(report.steps)
     values = np.asarray(report.values, dtype=np.float64)
     if values.ndim == 1:
         header = "t,value"
-        rows = [f"{t},{v!r}" for t, v in zip(steps, values.tolist())]
+        row = "{},{!r}\n".format
     else:
         header = "t," + ",".join(f"user{i + 1}" for i in range(values.shape[1]))
-        rows = [f"{t}," + ",".join(map(repr, row)) for t, row in zip(steps, values.tolist())]
+
+        def row(t, vals):
+            return f"{t}," + ",".join(map(repr, vals)) + "\n"
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([header, *rows, ""]))
+        fh.write(header + "\n")
+        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = slice(lo, lo + _CSV_BLOCK_ROWS)
+            fh.write("".join(map(row, steps[block].tolist(), values[block].tolist())))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

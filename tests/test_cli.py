@@ -362,6 +362,12 @@ def test_series_csv_bytes_are_float_reprs(tmp_path):
         b"4,1e+16,-1e-300\n"
         b"5,-0.19999999999999998,-5e-324\n"
     )
+    # Longer than one formatting block: the same bytes as one write per value.
+    steps = np.arange(1, 10_001, dtype=np.int64)
+    values = np.linspace(-1.0, 1.0, steps.size) ** 3
+    cli._write_series(str(path), metrics.SeriesReport("s", steps, values))
+    expected = "t,value\n" + "".join(f"{t},{float(v)!r}\n" for t, v in zip(steps, values))
+    assert path.read_text() == expected
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
