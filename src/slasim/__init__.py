@@ -15,9 +15,7 @@ from slasim.core import (
     PolicyParams,
     SimulationTrace,
     SlaVector,
-    feedback,
     run,
-    step,
 )
 from slasim.projection import kl_divergence, project_truncated_simplex
 
@@ -28,9 +26,7 @@ __all__ = [
     "PolicyParams",
     "SimulationTrace",
     "SlaVector",
-    "feedback",
     "run",
-    "step",
     "kl_divergence",
     "project_truncated_simplex",
 ]

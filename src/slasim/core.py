@@ -9,11 +9,11 @@ Each of T discrete steps proceeds in a fixed order:
 3. update: load L(i) arrives, user i completes w(i) = min(h(i), L(i) + Q(i))
    units of work, and queues become Q(i) <- max(0, L(i) + Q(i) - h(i)).
 
-That update is written once, in `_update` (`step` is its checked public
-form).  The simulator below, the offline greedies, the adversary's mirror
-of the queues and the windowed static re-simulation in `metrics` all apply
-it, so their queues agree bit for bit.  `_Recorder` keeps the trace rows
-for both the simulator and the offline greedies.
+That update is written once, in `_update`.  The simulator below, the
+offline greedies, the adversary's mirror of the queues and the windowed
+static re-simulation in `metrics` all apply it, so their queues agree bit
+for bit.  `_Recorder` keeps the trace rows for both the simulator and the
+offline greedies.
 
 `EMPTY_TOLERANCE` is the one busy/idle threshold: a queue counts as busy
 when it exceeds it.  It is a roundoff guard on the paper's "queue is
@@ -107,48 +107,28 @@ class PolicyParams:
                 raise ValueError(f"boost must be positive and finite, got {self.boost}")
             object.__setattr__(self, "canonical_boost", bool(self.boost == derived))
 
-    def as_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "boost": self.boost,
-            "canonical_boost": self.canonical_boost,
-        }
 
-
-def feedback(queue: np.ndarray) -> np.ndarray:
-    """Busy/idle pattern: True where the queue exceeds EMPTY_TOLERANCE."""
-    queue = np.asarray(queue, dtype=np.float64)
-    if np.any(queue < 0.0):
-        raise ValueError("queues must be nonnegative")
-    return queue > EMPTY_TOLERANCE
+def _check_loads(loads: np.ndarray) -> np.ndarray:
+    """The loads as a float64 T x N matrix; raises ValueError unless every
+    entry is finite and nonnegative."""
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.ndim != 2 or loads.shape[0] < 1 or loads.shape[1] < 1:
+        raise ValueError(f"loads must be a T x N matrix, got shape {loads.shape}")
+    if not np.all(np.isfinite(loads)) or np.any(loads < 0.0):
+        raise ValueError("loads must be finite and nonnegative")
+    return loads
 
 
 def _update(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The model's one queue update, unchecked; see step() for the rule.
+    """One queue update, unchecked: returns (work done, queue after).
+
+    work(i) = min(alloc(i), load(i) + queue(i)); the new queue is
+    load(i) + queue(i) - work(i), which is exactly
+    max(0, load(i) + queue(i) - alloc(i)).
+    """
     avail = load + queue
     work = np.minimum(alloc, avail)
     return work, avail - work
-
-
-def step(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One queue update: returns (work done, queue after).
-
-    work(i) = min(alloc(i), load(i) + queue(i));
-    the new queue is load(i) + queue(i) - work(i), which is exactly
-    max(0, load(i) + queue(i) - alloc(i)).
-    """
-    queue = np.asarray(queue, dtype=np.float64)
-    alloc = np.asarray(alloc, dtype=np.float64)
-    load = np.asarray(load, dtype=np.float64)
-    if not (queue.shape == alloc.shape == load.shape):
-        raise ValueError(
-            f"shape mismatch: queue {queue.shape}, alloc {alloc.shape}, load {load.shape}"
-        )
-    if np.any(load < 0.0) or np.any(queue < 0.0) or np.any(alloc < 0.0):
-        raise ValueError("loads, queues and allocations must be nonnegative")
-    return _update(queue, alloc, load)
 
 
 class Policy(Protocol):
@@ -158,11 +138,16 @@ class Policy(Protocol):
 
     def decide(self, active: np.ndarray) -> np.ndarray: ...
 
-    @property
-    def spec(self) -> dict: ...
-
 
 class LoadSource(Protocol):
+    """A source of per-step loads.
+
+    A source backed by a fixed T x N float64 matrix exposes it as `matrix`,
+    and `next(t, ...)` returns `matrix[t - 1]`; `run` then takes the
+    trace's `load` rows from that matrix after the loop instead of copying
+    them at every kept step.  Adaptive sources have no `matrix`.
+    """
+
     n_users: int
     horizon: Optional[int]
 
@@ -179,12 +164,13 @@ class SimulationTrace:
     thinning stride only every stride-th step is retained).  Aggregates
     total_work, total_load and final_queue are always exact regardless of
     thinning, as is cum_work, the running per-user work total at each
-    retained step.
+    retained step.  For a source backed by a load matrix, load is taken
+    from that matrix: a read-only view of its first horizon rows at stride
+    1, a copy of the retained rows otherwise.
     """
 
     policy: str
     steps: np.ndarray
-    active: np.ndarray
     alloc: np.ndarray
     work: np.ndarray
     queue: np.ndarray
@@ -195,8 +181,6 @@ class SimulationTrace:
     final_queue: np.ndarray
     horizon: int
     stride: int = 1
-    sla: Optional[SlaVector] = None
-    params: dict = field(default_factory=dict)
 
     @property
     def n_users(self) -> int:
@@ -205,9 +189,6 @@ class SimulationTrace:
     @property
     def is_full(self) -> bool:
         return self.stride == 1 and len(self.steps) == self.horizon
-
-    def __len__(self) -> int:
-        return int(len(self.steps))
 
     def conservation_residual(self) -> float:
         """|total load - total work - final backlog|, relative to total load."""
@@ -218,9 +199,10 @@ class SimulationTrace:
 
 class _Recorder:
     """Per-step rows of a SimulationTrace, kept at every stride-th step and
-    always at the final one; the caller calls keep() when t == next."""
+    always at the final one; the caller calls keep() when t == next.  Load
+    rows are copied only when there is no load matrix to take them from."""
 
-    def __init__(self, horizon: int, stride: int, n: int):
+    def __init__(self, horizon: int, stride: int, n: int, matrix: Optional[np.ndarray]):
         kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
         if len(kept) == 0 or kept[-1] != horizon:
             kept = np.append(kept, horizon)  # always retain the final step
@@ -229,43 +211,50 @@ class _Recorder:
         self.steps = kept
         self.next = int(kept[0])
         self._j = 0
+        self._matrix = matrix
         m = len(kept)
-        self.active = np.empty((m, n), dtype=bool)
         self.alloc = np.empty((m, n))
         self.work = np.empty((m, n))
         self.queue = np.empty((m, n))
-        self.load = np.empty((m, n))
+        self.load = np.empty((m, n)) if matrix is None else None
         self.cum_work = np.empty((m, n))
 
-    def keep(self, active, alloc, work, queue, load, cum_work) -> None:
+    def keep(self, alloc, work, queue, load, cum_work) -> None:
         j = self._j
-        self.active[j] = active
         self.alloc[j] = alloc
         self.work[j] = work
         self.queue[j] = queue
-        self.load[j] = load
+        if self.load is not None:
+            self.load[j] = load
         self.cum_work[j] = cum_work
         self._j = j + 1
         if self._j < len(self.steps):
             self.next = int(self.steps[self._j])
 
-    def trace(self, policy: str, total_work, total_load, final_queue, sla, params) -> SimulationTrace:
+    def load_rows(self) -> np.ndarray:
+        """The kept load rows: recorded ones, or those of the load matrix."""
+        if self._matrix is None:
+            return self.load
+        if self.stride > 1:
+            return self._matrix[self.steps - 1]
+        view = self._matrix[: self.horizon]
+        view.flags.writeable = False
+        return view
+
+    def trace(self, policy: str, total_work, total_load, final_queue) -> SimulationTrace:
         return SimulationTrace(
             policy=policy,
             steps=self.steps,
-            active=self.active,
             alloc=self.alloc,
             work=self.work,
             queue=self.queue,
-            load=self.load,
+            load=self.load_rows(),
             cum_work=self.cum_work,
             total_work=total_work,
             total_load=total_load,
             final_queue=final_queue,
             horizon=self.horizon,
             stride=self.stride,
-            sla=sla,
-            params=params,
         )
 
 
@@ -274,7 +263,8 @@ def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
 
     The policy sees only the busy/idle pattern each step; the source may
     adapt to the allocation it is shown.  Raises LoadExhausted if the
-    source cannot supply `horizon` steps.
+    source cannot supply `horizon` steps, and InvariantViolation if a load
+    or an allocation was not finite (NaN or infinite loads, NaN allocations).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -288,7 +278,7 @@ def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
     source.reset()
     policy.reset(n)
 
-    rec = _Recorder(horizon, stride, n)
+    rec = _Recorder(horizon, stride, n, getattr(source, "matrix", None))
     queue = np.zeros(n)
     cum = np.zeros(n)
     total_load = np.zeros(n)
@@ -303,13 +293,13 @@ def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
         cum = cum + work
         total_load += load
         if t == rec.next:
-            rec.keep(active, alloc, work, queue, load, cum)
+            rec.keep(alloc, work, queue, load, cum)
 
-    return rec.trace(
-        getattr(policy, "name", type(policy).__name__),
-        cum,
-        total_load,
-        queue,
-        sla=getattr(policy, "sla", None),
-        params=dict(getattr(policy, "spec", {})),
-    )
+    # A NaN or infinite load reaches total_load, and a NaN allocation
+    # reaches the work total through np.minimum, so two checks per run
+    # catch both.  An over-capacity allocation is not caught here.
+    if not np.isfinite(total_load).all():
+        raise InvariantViolation(f"total load is not finite (a NaN or infinite load): {total_load}")
+    if not np.isfinite(cum).all():
+        raise InvariantViolation(f"total work is not finite (a NaN allocation): {cum}")
+    return rec.trace(getattr(policy, "name", type(policy).__name__), cum, total_load, queue)

@@ -55,7 +55,7 @@ def work_difference(a: SimulationTrace, b: SimulationTrace) -> SeriesReport:
         )
     if not np.array_equal(a.steps, b.steps):
         raise ValueError("traces retain different steps; rerun with equal strides")
-    if not (np.array_equal(a.load, b.load) and np.allclose(a.total_load, b.total_load, rtol=0, atol=0)):
+    if not (np.array_equal(a.load, b.load) and np.array_equal(a.total_load, b.total_load)):
         raise ValueError("traces saw different loads; work difference is undefined")
     return SeriesReport(
         name=f"work_difference[{a.policy}-{b.policy}]",

@@ -19,15 +19,14 @@ the same optimal value, certifying it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from slasim.core import (
-    EMPTY_TOLERANCE,
     DegenerateSlaError,
     SimulationTrace,
     SlaVector,
+    _check_loads,
     _Recorder,
     _update,
 )
@@ -35,15 +34,6 @@ from slasim.core import (
 
 class InfeasibleDualError(ValueError):
     """A dual candidate violates one of the LP constraints."""
-
-
-def _check_loads(loads: np.ndarray) -> np.ndarray:
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.ndim != 2 or loads.shape[0] < 1 or loads.shape[1] < 1:
-        raise ValueError(f"loads must be a T x N matrix, got shape {loads.shape}")
-    if not np.all(np.isfinite(loads)) or np.any(loads < 0.0):
-        raise ValueError("loads must be finite and nonnegative")
-    return loads
 
 
 def offline_optimal_value(loads: np.ndarray, eps: float = 0.0) -> float:
@@ -57,29 +47,21 @@ def offline_optimal_value(loads: np.ndarray, eps: float = 0.0) -> float:
     return float((prefix + slack).min())
 
 
-def _offline_trace(
-    loads: np.ndarray,
-    name: str,
-    serve,
-    params: dict,
-    sla: Optional[SlaVector] = None,
-    stride: int = 1,
-) -> SimulationTrace:
+def _offline_trace(loads: np.ndarray, name: str, serve, stride: int = 1) -> SimulationTrace:
     """Walk the load matrix allocating `serve(pending) -> alloc` each step;
     every alloc(i) is at most pending(i), so it is also the work done."""
     horizon, n = loads.shape
-    rec = _Recorder(horizon, stride, n)
+    rec = _Recorder(horizon, stride, n, loads)
     queue = np.zeros(n)
     cum = np.zeros(n)
     for t in range(1, horizon + 1):
         load = loads[t - 1]
-        active = queue > EMPTY_TOLERANCE
         alloc = serve(queue + load)
         work, queue = _update(queue, alloc, load)
         cum = cum + work
         if t == rec.next:
-            rec.keep(active, alloc, work, queue, load, cum)
-    return rec.trace(name, cum, loads.sum(axis=0), queue, sla, params)
+            rec.keep(alloc, work, queue, load, cum)
+    return rec.trace(name, cum, loads.sum(axis=0), queue)
 
 
 def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> SimulationTrace:
@@ -96,7 +78,7 @@ def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> 
         before = np.cumsum(pending) - pending
         return np.clip(capacity - before, 0.0, pending)
 
-    return _offline_trace(loads, "simple_greedy", serve, {"name": "simple_greedy", "capacity": capacity}, stride=stride)
+    return _offline_trace(loads, "simple_greedy", serve, stride)
 
 
 def proportional_greedy(
@@ -155,9 +137,7 @@ def proportional_greedy(
                 break
         return work
 
-    return _offline_trace(
-        loads, "pg", serve, {"name": "pg", "capacity": capacity}, sla=sla, stride=stride
-    )
+    return _offline_trace(loads, "pg", serve, stride)
 
 
 @dataclass(frozen=True)

@@ -150,10 +150,6 @@ class MultiplicativeWeights:
                         f"(1 + c') boost factor at high usage"
                     )
 
-    @property
-    def spec(self) -> dict:
-        return {"name": self.name, **self.params.as_dict()}
-
 
 class StaticSla:
     """Always allocate exactly the SLA shares; leftover capacity idles."""
@@ -169,10 +165,6 @@ class StaticSla:
 
     def decide(self, active: np.ndarray) -> np.ndarray:
         return self.sla.beta
-
-    @property
-    def spec(self) -> dict:
-        return {"name": self.name}
 
 
 class OnlineProportional:
@@ -198,10 +190,6 @@ class OnlineProportional:
                 "every active user has a zero SLA share; proportional split undefined"
             )
         return np.where(active, beta / share, 0.0)
-
-    @property
-    def spec(self) -> dict:
-        return {"name": self.name}
 
 
 class OnlineWorkMaximizing:
@@ -232,10 +220,6 @@ class OnlineWorkMaximizing:
         if count == 0:
             return np.zeros(active.size)
         return served / count
-
-    @property
-    def spec(self) -> dict:
-        return {"name": self.name}
 
 
 POLICY_NAMES = ("mw", "mw_prop", "static", "po", "owm")

@@ -14,7 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from slasim.core import EMPTY_TOLERANCE, InvariantViolation, LoadExhausted, SlaVector, _update
+from slasim.core import (
+    EMPTY_TOLERANCE,
+    InvariantViolation,
+    LoadExhausted,
+    SlaVector,
+    _check_loads,
+    _update,
+)
 
 GAMMA_SHAPE_DEFAULT = 2000.0
 
@@ -27,11 +34,7 @@ class PrecomputedLoads:
     """Load source backed by a fixed T x N matrix."""
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-            raise ValueError(f"loads must be a T x N matrix, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
-            raise ValueError("loads must be finite and nonnegative")
+        matrix = _check_loads(matrix)
         self.matrix = matrix
         self.n_users = int(matrix.shape[1])
         self.horizon: Optional[int] = int(matrix.shape[0])

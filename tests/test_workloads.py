@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from slasim import InvariantViolation, PolicyParams, SlaVector, run
+from slasim.offline import offline_optimal_value
 from slasim.policies import make_policy
 from slasim.workloads import (
     DEFAULT_SCHEDULE,
@@ -168,6 +169,22 @@ def test_precomputed_loads_replay():
         source.next(3, None, None)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones(3), "must be a T x N matrix"),
+        (np.zeros((0, 2)), "must be a T x N matrix"),
+        (np.array([[0.5, np.inf]]), "must be finite and nonnegative"),
+        (np.array([[0.5, np.nan]]), "must be finite and nonnegative"),
+        (np.array([[0.5, -0.1]]), "must be finite and nonnegative"),
+    ],
+)
+def test_precomputed_loads_and_offline_validate_alike(bad, message):
+    for build in (PrecomputedLoads, offline_optimal_value):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+
+
 # ------------------------------------------------------------------ csv trace
 
 
@@ -246,7 +263,6 @@ def test_adversary_budget_guard_catches_starved_drain():
     # the step budget turns that into a loud failure.
     class Starver:
         name = "starver"
-        spec = {}
 
         def reset(self, n):
             pass
