@@ -16,6 +16,7 @@ from slasim.core import (
     SimulationTrace,
     SlaVector,
     run,
+    run_batch,
 )
 from slasim.projection import kl_divergence, project_truncated_simplex
 
@@ -27,6 +28,7 @@ __all__ = [
     "SimulationTrace",
     "SlaVector",
     "run",
+    "run_batch",
     "kl_divergence",
     "project_truncated_simplex",
 ]

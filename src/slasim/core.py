@@ -9,11 +9,21 @@ Each of T discrete steps proceeds in a fixed order:
 3. update: load L(i) arrives, user i completes w(i) = min(h(i), L(i) + Q(i))
    units of work, and queues become Q(i) <- max(0, L(i) + Q(i) - h(i)).
 
-That update is written once, in `_update`.  The simulator below, the
-offline greedies, the adversary's mirror of the queues and the windowed
-static re-simulation in `metrics` all apply it, so their queues agree bit
-for bit.  `_Recorder` keeps the trace rows for both the simulator and the
-offline greedies.
+`run_batch` is the one engine.  It steps B independent (policy, source)
+rows in lockstep, holding queues, allocations, loads and running totals as
+(B, N) arrays.  At step t it computes the busy/idle pattern of every row
+at once; then, row by row in order, row r's policy decides from its own
+pattern and row r's source supplies its load (an adaptive source sees that
+row's allocation and pattern); then one update, one running sum and one
+recorder call serve all rows.  Every operation is elementwise per row, so
+a row's trace is bit for bit that of the row run alone.  `run` is the
+batch of one.
+
+The update is written once, in `_update`.  The engine, the offline
+greedies, the adversary's mirror of the queues and the windowed static
+re-simulation in `metrics` all apply it, so their queues agree bit for
+bit.  `_Recorder` keeps the trace rows for both the engine and the offline
+greedies.
 
 `EMPTY_TOLERANCE` is the one busy/idle threshold: a queue counts as busy
 when it exceeds it.  It is a roundoff guard on the paper's "queue is
@@ -143,9 +153,10 @@ class LoadSource(Protocol):
     """A source of per-step loads.
 
     A source backed by a fixed T x N float64 matrix exposes it as `matrix`,
-    and `next(t, ...)` returns `matrix[t - 1]`; `run` then takes the
+    and `next(t, ...)` returns `matrix[t - 1]`; the engine then takes the
     trace's `load` rows from that matrix after the loop instead of copying
-    them at every kept step.  Adaptive sources have no `matrix`.
+    them at every kept step, and any number of batch rows may share the
+    source.  Adaptive sources have no `matrix` and drive one row each.
     """
 
     n_users: int
@@ -167,6 +178,11 @@ class SimulationTrace:
     retained step.  For a source backed by a load matrix, load is taken
     from that matrix: a read-only view of its first horizon rows at stride
     1, a copy of the retained rows otherwise.
+
+    In row r of a batch, alloc, work, queue, cum_work and any recorded load
+    are the column views [:, r] of the batch recorder's (m, B, N) arrays:
+    each is m x N with a contiguous inner axis, and the rows of one batch
+    share those buffers.
     """
 
     policy: str
@@ -198,11 +214,12 @@ class SimulationTrace:
 
 
 class _Recorder:
-    """Per-step rows of a SimulationTrace, kept at every stride-th step and
-    always at the final one; the caller calls keep() when t == next.  Load
-    rows are copied only when there is no load matrix to take them from."""
+    """Per-step rows of B traces, kept at every stride-th step and always at
+    the final one; the caller calls keep() with (B, N) arrays (or N-vectors
+    when B is 1) when t == next.  Load rows are copied only when some row
+    has no load matrix to take them from."""
 
-    def __init__(self, horizon: int, stride: int, n: int, matrix: Optional[np.ndarray]):
+    def __init__(self, horizon: int, stride: int, shape: tuple[int, int], matrices: list):
         kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
         if len(kept) == 0 or kept[-1] != horizon:
             kept = np.append(kept, horizon)  # always retain the final step
@@ -211,13 +228,13 @@ class _Recorder:
         self.steps = kept
         self.next = int(kept[0])
         self._j = 0
-        self._matrix = matrix
+        self._matrices = matrices
         m = len(kept)
-        self.alloc = np.empty((m, n))
-        self.work = np.empty((m, n))
-        self.queue = np.empty((m, n))
-        self.load = np.empty((m, n)) if matrix is None else None
-        self.cum_work = np.empty((m, n))
+        self.alloc = np.empty((m, *shape))
+        self.work = np.empty((m, *shape))
+        self.queue = np.empty((m, *shape))
+        self.load = None if all(x is not None for x in matrices) else np.empty((m, *shape))
+        self.cum_work = np.empty((m, *shape))
 
     def keep(self, alloc, work, queue, load, cum_work) -> None:
         j = self._j
@@ -231,25 +248,26 @@ class _Recorder:
         if self._j < len(self.steps):
             self.next = int(self.steps[self._j])
 
-    def load_rows(self) -> np.ndarray:
-        """The kept load rows: recorded ones, or those of the load matrix."""
-        if self._matrix is None:
-            return self.load
+    def load_rows(self, r: int) -> np.ndarray:
+        """Row r's kept load rows: recorded ones, or those of its load matrix."""
+        matrix = self._matrices[r]
+        if matrix is None:
+            return self.load[:, r]
         if self.stride > 1:
-            return self._matrix[self.steps - 1]
-        view = self._matrix[: self.horizon]
+            return matrix[self.steps - 1]
+        view = matrix[: self.horizon]
         view.flags.writeable = False
         return view
 
-    def trace(self, policy: str, total_work, total_load, final_queue) -> SimulationTrace:
+    def trace(self, r: int, policy: str, total_work, total_load, final_queue) -> SimulationTrace:
         return SimulationTrace(
             policy=policy,
             steps=self.steps,
-            alloc=self.alloc,
-            work=self.work,
-            queue=self.queue,
-            load=self.load_rows(),
-            cum_work=self.cum_work,
+            alloc=self.alloc[:, r],
+            work=self.work[:, r],
+            queue=self.queue[:, r],
+            load=self.load_rows(r),
+            cum_work=self.cum_work[:, r],
             total_work=total_work,
             total_load=total_load,
             final_queue=final_queue,
@@ -258,37 +276,82 @@ class _Recorder:
         )
 
 
-def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
-    """Drive a policy against a load source for `horizon` steps.
+def _check_rows(rows: list, names: list[str]) -> int:
+    """The users count all rows share; raises ValueError for an empty batch,
+    rows that disagree on it, and an object that would carry state across
+    rows: one policy, or one adaptive source (no `matrix`), in two rows."""
+    if not rows:
+        raise ValueError("run_batch needs at least one (policy, source) row")
+    n = int(rows[0][1].n_users)
+    owner: dict[int, int] = {}
+    for r, (policy, source) in enumerate(rows):
+        if int(source.n_users) != n:
+            raise ValueError(
+                f"rows 0 ({names[0]}) and {r} ({names[r]}) disagree on n_users: "
+                f"{n} and {source.n_users}"
+            )
+        stateful = [(policy, "policy")]
+        if getattr(source, "matrix", None) is None:
+            stateful.append((source, "adaptive load source"))
+        for obj, what in stateful:
+            first = owner.setdefault(id(obj), r)
+            if first != r:
+                raise ValueError(
+                    f"rows {first} ({names[first]}) and {r} ({names[r]}) share one "
+                    f"{what}; each row needs its own"
+                )
+    return n
 
-    The policy sees only the busy/idle pattern each step; the source may
-    adapt to the allocation it is shown.  Raises LoadExhausted if the
-    source cannot supply `horizon` steps, and InvariantViolation if a load
-    or an allocation was not finite (NaN or infinite loads, NaN allocations).
+
+def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
+    """Drive B (policy, source) rows in lockstep for `horizon` steps and
+    return one trace per row, in row order.
+
+    Rows are independent: each row's policy sees only its own busy/idle
+    pattern, and its source only its own allocation and pattern, so a row's
+    trace is bit for bit the trace of that row run alone.  Rows may share a
+    matrix-backed source; an adaptive source drives one row only.  Raises
+    ValueError for an empty batch, rows that disagree on n_users or share a
+    policy or an adaptive source; LoadExhausted if a source cannot supply
+    `horizon` steps; and InvariantViolation if a load or an allocation was
+    not finite (NaN or infinite loads, NaN allocations).  Engine messages
+    name the row and its policy, as in "row 2 (po)".
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    n = int(source.n_users)
-    if source.horizon is not None and source.horizon < horizon:
-        raise LoadExhausted(
-            f"load source provides {source.horizon} steps, {horizon} requested"
-        )
-    source.reset()
-    policy.reset(n)
+    rows = list(rows)
+    names = [getattr(policy, "name", type(policy).__name__) for policy, _ in rows]
+    n = _check_rows(rows, names)
+    for r, (policy, source) in enumerate(rows):
+        if source.horizon is not None and source.horizon < horizon:
+            raise LoadExhausted(
+                f"row {r} ({names[r]}): load source provides {source.horizon} steps, "
+                f"{horizon} requested"
+            )
+        source.reset()
+        policy.reset(n)
 
-    rec = _Recorder(horizon, stride, n, getattr(source, "matrix", None))
-    queue = np.zeros(n)
-    cum = np.zeros(n)
-    total_load = np.zeros(n)
+    b = len(rows)
+    rec = _Recorder(horizon, stride, (b, n), [getattr(s, "matrix", None) for _, s in rows])
+    steppers = [(r, policy.decide, source.next) for r, (policy, source) in enumerate(rows)]
+    queue = np.zeros((b, n))
+    cum = np.zeros((b, n))
+    total_load = np.zeros((b, n))
+    alloc = np.empty((b, n))
+    load = np.empty((b, n))
     for t in range(1, horizon + 1):
         active = queue > EMPTY_TOLERANCE
-        alloc = policy.decide(active)
-        try:
-            load = source.next(t, alloc, active)
-        except LoadExhausted as exc:
-            raise LoadExhausted(f"load source exhausted at step {t}: {exc}") from exc
+        for r, decide, next_load in steppers:
+            seen = active[r]
+            alloc[r] = a = decide(seen)
+            try:
+                load[r] = next_load(t, a, seen)
+            except LoadExhausted as exc:
+                raise LoadExhausted(
+                    f"row {r} ({names[r]}): load source exhausted at step {t}: {exc}"
+                ) from exc
         work, queue = _update(queue, alloc, load)
         cum = cum + work
         total_load += load
@@ -296,10 +359,26 @@ def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
             rec.keep(alloc, work, queue, load, cum)
 
     # A NaN or infinite load reaches total_load, and a NaN allocation
-    # reaches the work total through np.minimum, so two checks per run
+    # reaches the work total through np.minimum, so two checks per row
     # catch both.  An over-capacity allocation is not caught here.
-    if not np.isfinite(total_load).all():
-        raise InvariantViolation(f"total load is not finite (a NaN or infinite load): {total_load}")
-    if not np.isfinite(cum).all():
-        raise InvariantViolation(f"total work is not finite (a NaN allocation): {cum}")
-    return rec.trace(getattr(policy, "name", type(policy).__name__), cum, total_load, queue)
+    for r in range(b):
+        if not np.isfinite(total_load[r]).all():
+            raise InvariantViolation(
+                f"row {r} ({names[r]}): total load is not finite "
+                f"(a NaN or infinite load): {total_load[r]}"
+            )
+        if not np.isfinite(cum[r]).all():
+            raise InvariantViolation(
+                f"row {r} ({names[r]}): total work is not finite (a NaN allocation): {cum[r]}"
+            )
+    return [rec.trace(r, names[r], cum[r], total_load[r], queue[r]) for r in range(b)]
+
+
+def run(policy, source, horizon: int, *, stride: int = 1) -> SimulationTrace:
+    """Drive one policy against a load source for `horizon` steps: the
+    batch of one of `run_batch`, with the same checks and errors.
+
+    The policy sees only the busy/idle pattern each step; the source may
+    adapt to the allocation it is shown.
+    """
+    return run_batch([(policy, source)], horizon, stride=stride)[0]

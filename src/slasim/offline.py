@@ -51,7 +51,7 @@ def _offline_trace(loads: np.ndarray, name: str, serve, stride: int = 1) -> Simu
     """Walk the load matrix allocating `serve(pending) -> alloc` each step;
     every alloc(i) is at most pending(i), so it is also the work done."""
     horizon, n = loads.shape
-    rec = _Recorder(horizon, stride, n, loads)
+    rec = _Recorder(horizon, stride, (1, n), [loads])
     queue = np.zeros(n)
     cum = np.zeros(n)
     for t in range(1, horizon + 1):
@@ -61,7 +61,7 @@ def _offline_trace(loads: np.ndarray, name: str, serve, stride: int = 1) -> Simu
         cum = cum + work
         if t == rec.next:
             rec.keep(alloc, work, queue, load, cum)
-    return rec.trace(name, cum, loads.sum(axis=0), queue)
+    return rec.trace(0, name, cum, loads.sum(axis=0), queue)
 
 
 def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> SimulationTrace:

@@ -19,7 +19,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from slasim import PolicyParams, SlaVector, kl_divergence, project_truncated_simplex, run
+from slasim import (
+    PolicyParams,
+    SlaVector,
+    kl_divergence,
+    project_truncated_simplex,
+    run,
+    run_batch,
+)
 from slasim import cli
 from slasim.metrics import sla_window_stats
 from slasim.offline import (
@@ -95,15 +102,16 @@ def seeded_runs():
     started = time.perf_counter()
     for seed in range(SEED_RUNS):
         source = synthetic_gamma(sla, horizon=SEED_HORIZON, seed=seed)
-        alg2 = run(make_policy("mw_prop", sla, params), source, horizon=SEED_HORIZON)
-        totals = {"alg2": float(alg2.total_work.sum())}
-        norms = {"alg2": float(np.sqrt((alg2.final_queue**2).sum()))}
-        for name in ("static", "po", "owm"):
-            trace = run(
-                make_policy(name, sla), source, horizon=SEED_HORIZON, stride=SEED_HORIZON
-            )
-            totals[name] = float(trace.total_work.sum())
-            norms[name] = float(np.sqrt((trace.final_queue**2).sum()))
+        # The four online policies run as one lockstep batch over the shared
+        # loads, at stride 1 because sla_window_stats needs alg2's full trace.
+        online = {"alg2": "mw_prop", "static": "static", "po": "po", "owm": "owm"}
+        batch = [(make_policy(name, sla, params), source) for name in online.values()]
+        traces = dict(zip(online, run_batch(batch, horizon=SEED_HORIZON)))
+        alg2 = traces["alg2"]
+        totals = {key: float(trace.total_work.sum()) for key, trace in traces.items()}
+        norms = {
+            key: float(np.sqrt((trace.final_queue**2).sum())) for key, trace in traces.items()
+        }
         loads = source.matrix
         totals["pg"] = float(
             proportional_greedy(loads, sla, 1.0, stride=SEED_HORIZON).total_work.sum()

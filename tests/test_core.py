@@ -2,20 +2,102 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slasim import (
     InvariantViolation,
     LoadExhausted,
     PolicyParams,
+    SimulationTrace,
     SlaVector,
     run,
+    run_batch,
 )
-from slasim.core import _update
+from slasim.core import EMPTY_TOLERANCE, _update
 from slasim.offline import proportional_greedy, simple_greedy
-from slasim.policies import MultiplicativeWeights, OnlineWorkMaximizing, StaticSla
-from slasim.workloads import PrecomputedLoads, bernoulli_gamma_fuzz
+from slasim.policies import (
+    POLICY_NAMES,
+    MultiplicativeWeights,
+    OnlineProportional,
+    OnlineWorkMaximizing,
+    StaticSla,
+    make_policy,
+)
+from slasim.workloads import PrecomputedLoads, QueueAdversary, bernoulli_gamma_fuzz
+
+
+def _reference_run(policy, source, horizon, stride=1):
+    """One policy driven alone by a 1-D loop, the engine before run_batch.
+
+    Every row of run_batch must match it bit for bit.  It keeps every
+    step's rows and thins them at the end, so it shares no recorder code
+    with the engine.  An exception it raises carries the step it failed at
+    as `step` (horizon + 1 for the checks after the loop).
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    n = int(source.n_users)
+    if source.horizon is not None and source.horizon < horizon:
+        raise LoadExhausted(
+            f"load source provides {source.horizon} steps, {horizon} requested"
+        )
+    source.reset()
+    policy.reset(n)
+
+    queue = np.zeros(n)
+    cum = np.zeros(n)
+    total_load = np.zeros(n)
+    kept = []
+    t = 0
+    try:
+        for t in range(1, horizon + 1):
+            active = queue > EMPTY_TOLERANCE
+            alloc = policy.decide(active)
+            try:
+                load = source.next(t, alloc, active)
+            except LoadExhausted as exc:
+                raise LoadExhausted(f"load source exhausted at step {t}: {exc}") from exc
+            work, queue = _update(queue, alloc, load)
+            cum = cum + work
+            total_load += load
+            kept.append([np.array(x, dtype=np.float64) for x in (alloc, work, queue, load, cum)])
+        t = horizon + 1
+        if not np.isfinite(total_load).all():
+            raise InvariantViolation(
+                f"total load is not finite (a NaN or infinite load): {total_load}"
+            )
+        if not np.isfinite(cum).all():
+            raise InvariantViolation(f"total work is not finite (a NaN allocation): {cum}")
+    except Exception as exc:
+        exc.step = t
+        raise
+
+    steps = np.arange(stride, horizon + 1, stride)
+    if len(steps) == 0 or steps[-1] != horizon:
+        steps = np.append(steps, horizon)
+    alloc, work, queue_rows, load, cum_work = (
+        np.array([kept[s - 1][k] for s in steps]) for k in range(5)
+    )
+    return SimulationTrace(
+        policy=getattr(policy, "name", type(policy).__name__),
+        steps=steps,
+        alloc=alloc,
+        work=work,
+        queue=queue_rows,
+        load=load,
+        cum_work=cum_work,
+        total_work=cum,
+        total_load=total_load,
+        final_queue=queue,
+        horizon=horizon,
+        stride=stride,
+    )
 
 
 def test_step_serves_from_load_plus_queue():
@@ -217,6 +299,149 @@ def test_run_validates_arguments():
         run(policy, source, horizon=0)
     with pytest.raises(ValueError):
         run(policy, source, horizon=4, stride=0)
+
+
+_TRACE_FIELDS = [f.name for f in dataclasses.fields(SimulationTrace)]
+
+
+@st.composite
+def _batches(draw):
+    """A batch: horizon, stride and, per row, its policy name and a factory
+    of fresh (policy, source) pairs.
+
+    Rows mix all five policies (mw and mw_prop monitored or not) over up
+    to three load matrices, shared or separate; in about half the batches
+    N is 2 and one row is driven by its own QueueAdversary.  Half the
+    batches allow zero SLA shares, so po can raise DegenerateSlaError and
+    the error path is compared too.
+    """
+    adversary = draw(st.booleans())
+    n = 2 if adversary else draw(st.integers(2, 12))
+    horizon = draw(st.integers(1, 40))
+    stride = draw(st.sampled_from([1, 7, horizon]))
+    share = st.floats(0.01, 1.0)
+    if draw(st.booleans()):
+        share = share | st.just(0.0)
+    weights = np.array(draw(st.lists(share, min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([1.0, 0.9]))
+    beta = weights / weights.sum() * scale if weights.sum() > 0 else weights
+    sla = SlaVector(beta)
+    params = PolicyParams(
+        n_users=n,
+        epsilon=draw(st.sampled_from([0.02, 0.05, 0.1])),
+        eta=draw(st.sampled_from([1.0 / 3.0, 0.2])),
+    )
+    seed = draw(st.integers(0, 2**16))
+    matrices = [
+        bernoulli_gamma_fuzz(n, horizon + draw(st.integers(0, 3)), seed + k) for k in range(3)
+    ]
+    b = draw(st.integers(1, 5))
+    specs = [
+        (draw(st.sampled_from(POLICY_NAMES)), draw(st.booleans()), draw(st.integers(0, 2)))
+        for _ in range(b)
+    ]
+    if adversary:
+        specs[draw(st.integers(0, b - 1))] = (
+            draw(st.sampled_from(POLICY_NAMES)), draw(st.booleans()), None
+        )
+
+    def row(spec):
+        name, monitor, k = spec
+        policy = make_policy(name, sla, params, monitor_lemmas=monitor)
+        return policy, QueueAdversary() if k is None else matrices[k]
+
+    return horizon, stride, [(spec[0], lambda spec=spec: row(spec)) for spec in specs]
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except Exception as exc:  # compared with the reference's exception
+        return None, exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_batches())
+def test_run_batch_rows_match_a_reference_run_alone(case):
+    horizon, stride, rows = case
+    batch, error = _outcome(lambda: run_batch([row() for _, row in rows], horizon, stride=stride))
+    refs = [_outcome(lambda row=row: _reference_run(*row(), horizon, stride)) for _, row in rows]
+    failed = [(exc.step, r, exc) for r, (_, exc) in enumerate(refs) if exc is not None]
+    if not failed:
+        assert error is None, repr(error)
+        for r, (ref, _) in enumerate(refs):
+            for name in _TRACE_FIELDS:
+                got, want = getattr(batch[r], name), getattr(ref, name)
+                assert np.array_equal(got, want), f"row {r} field {name}"
+        return
+    # Rows step in lockstep and in row order within a step, so the batch
+    # stops at the row whose run alone fails first.
+    _, r, want = min(failed, key=lambda f: f[:2])
+    assert type(error) is type(want)
+    assert str(error) in (str(want), f"row {r} ({rows[r][0]}): {want}")
+
+
+def test_run_batch_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="at least one"):
+        run_batch([], horizon=3)
+
+
+def test_run_batch_rejects_one_adaptive_source_in_two_rows():
+    sla = SlaVector(np.array([0.5, 0.5]))
+    shared = QueueAdversary()
+    rows = [
+        (StaticSla(sla), shared),
+        (OnlineProportional(sla), QueueAdversary()),
+        (OnlineProportional(sla), shared),
+    ]
+    with pytest.raises(ValueError, match=r"rows 0 \(static\) and 2 \(po\) share one adaptive"):
+        run_batch(rows, horizon=3)
+
+
+def test_run_batch_rejects_one_policy_in_two_rows():
+    policy = OnlineWorkMaximizing()
+    source = PrecomputedLoads(np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"rows 0 \(owm\) and 1 \(owm\) share one policy"):
+        run_batch([(policy, source), (policy, source)], horizon=3)
+
+
+def test_run_batch_rejects_rows_that_disagree_on_n_users():
+    rows = [
+        (OnlineWorkMaximizing(), PrecomputedLoads(np.ones((3, 2)))),
+        (OnlineWorkMaximizing(), PrecomputedLoads(np.ones((3, 3)))),
+    ]
+    match = r"rows 0 \(owm\) and 1 \(owm\) disagree on n_users: 2 and 3"
+    with pytest.raises(ValueError, match=match):
+        run_batch(rows, horizon=3)
+
+
+def test_run_batch_mid_run_exhaustion_names_the_row_and_policy():
+    class Dribble(_Rows):
+        def next(self, t, alloc, active):
+            if t > 3:
+                raise LoadExhausted("dry")
+            return super().next(t, alloc, active)
+
+    sla = SlaVector(np.array([0.5, 0.5]))
+    rows = [
+        (StaticSla(sla), PrecomputedLoads(np.ones((5, 2)))),
+        (OnlineWorkMaximizing(), _Rows(np.ones((5, 2)))),
+        (OnlineProportional(sla), Dribble(np.ones((5, 2)))),
+    ]
+    match = r"^row 2 \(po\): load source exhausted at step 4: dry$"
+    with pytest.raises(LoadExhausted, match=match):
+        run_batch(rows, horizon=5)
+
+
+def test_run_batch_invariant_violation_names_the_row_and_policy():
+    sla = SlaVector(np.array([0.5, 0.5]))
+    rows = [
+        (StaticSla(sla), PrecomputedLoads(np.ones((3, 2)))),
+        (OnlineWorkMaximizing(), _Rows(np.ones((3, 2)))),
+        (OnlineProportional(sla), _Rows([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])),
+    ]
+    with pytest.raises(InvariantViolation, match=r"^row 2 \(po\): total load is not finite"):
+        run_batch(rows, horizon=3)
 
 
 def test_sla_vector_validation():
