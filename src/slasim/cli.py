@@ -5,19 +5,20 @@ section per policy:
 
     [workload]            type, horizon, sla, and type-specific keys
     [run]                 stride, profile (debug arms the lemma monitors)
-    [policy <name>]       type = mw | mw_prop | static | po | owm |
-                          pg | simple_greedy, plus parameters
-    [metrics]             work_difference, sla_window, tau, window_stride,
-                          queue_norms
+    [policy <name>]       type = mw | mw_prop (epsilon, eta) | static | po |
+                          owm | pg | simple_greedy (capacity)
+    [metrics]             work_difference, sla_window, tau, window_stride
     [output]              dir (overridden by SLASIM_OUTPUT_DIR)
 
 The workload and policy sections read `type` and that type's own keys.
 Any other section or key is a config error, so a misspelled or misplaced setting
-never leaves its default in force unnoticed.
+never leaves its default in force unnoticed.  The multiplicative-weights
+boost is derived as epsilon**2 / (8 N) and `validate` echoes it.
 
-`run` writes one CSV per requested series plus a `summary` file of
-key=value lines.  Exit codes: 0 success, 1 config error, 2 runtime
-assertion failure, 3 I/O error.
+`run` writes every policy's cumulative work and queue 2-norm CSVs, one CSV
+per requested metric series, and a `summary` file of key=value lines.
+Exit codes: 0 success, 1 config error, 2 runtime assertion failure, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,7 +63,7 @@ WORKLOAD_KEYS = {
 # policy sections are checked against the keys of their own type.
 SECTION_KEYS = {
     "run": ("stride", "profile"),
-    "metrics": ("work_difference", "sla_window", "tau", "window_stride", "queue_norms"),
+    "metrics": ("work_difference", "sla_window", "tau", "window_stride"),
     "output": ("dir",),
 }
 
@@ -81,24 +82,24 @@ class PolicyConfig:
 
 @dataclass
 class ExperimentConfig:
-    path: str
+    """A checked config; parse_config sets every field and holds the defaults."""
+
     workload_type: str
     horizon: int
     sla: SlaVector
-    seed: int = 0
-    trace_path: Optional[str] = None
-    burst_probability: float = 0.5
-    burst_mean: Optional[float] = None
-    schedule: tuple = workloads.DEFAULT_SCHEDULE
-    stride: int = 1
-    assert_lemmas: bool = True
-    policies: list[PolicyConfig] = field(default_factory=list)
-    work_difference: list[tuple[str, str]] = field(default_factory=list)
-    sla_window_policy: Optional[str] = None
-    tau: int = 500
-    window_stride: Optional[int] = None
-    queue_norms: bool = True
-    output_dir: str = "out"
+    seed: int
+    trace_path: Optional[str]
+    burst_probability: float
+    burst_mean: Optional[float]
+    schedule: tuple
+    stride: int
+    assert_lemmas: bool
+    policies: list[PolicyConfig]
+    work_difference: list[tuple[str, str]]
+    sla_window_policy: Optional[str]
+    tau: int
+    window_stride: Optional[int]
+    output_dir: str
 
 
 def _parse_float(raw: str, what: str, errors: list[str]) -> Optional[float]:
@@ -115,16 +116,6 @@ def _parse_int(raw: str, what: str, errors: list[str]) -> Optional[int]:
     except ValueError:
         errors.append(f"{what}: expected an integer, got {raw!r}")
         return None
-
-
-def _parse_bool(raw: str, what: str, errors: list[str]) -> Optional[bool]:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    errors.append(f"{what}: expected true/false, got {raw!r}")
-    return None
 
 
 def _check_keys(section: str, keys, known, errors: list[str]) -> None:
@@ -220,11 +211,13 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
                 errors.append(
                     f"synthetic_gamma horizon must be divisible by {periods}, got {horizon}"
                 )
-            for idx, (_, a, b) in enumerate(schedule):
+            for idx, (kind, a, b) in enumerate(schedule):
                 if not (0 <= a < n and 0 <= b < n and a != b):
                     errors.append(
                         f"schedule period {idx + 1}: users must be distinct and in 1..{n}"
                     )
+                elif kind == "bulk" and sla.beta[a] + sla.beta[b] <= 0.0:
+                    errors.append(f"schedule period {idx + 1}: bulk pair has zero total SLA")
         if wl_type == "adversary" and n != 2:
             errors.append(f"adversary workload needs exactly 2 users, sla has {n}")
     if wl_type == "trace_csv" and not trace_path:
@@ -263,22 +256,15 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         pc = PolicyConfig(name=name, type=ptype)
         known = ["type"]
         if ptype in ("mw", "mw_prop"):
-            known += ["epsilon", "eta", "boost"]
+            known += ["epsilon", "eta"]
             if "epsilon" not in sec or "eta" not in sec:
                 errors.append(f"policy {name}: type {ptype} needs epsilon and eta")
             else:
                 eps = _parse_float(sec["epsilon"], f"policy {name} epsilon", errors)
                 eta = _parse_float(sec["eta"], f"policy {name} eta", errors)
-                boost = (
-                    _parse_float(sec["boost"], f"policy {name} boost", errors)
-                    if "boost" in sec
-                    else None
-                )
                 if sla is not None and eps is not None and eta is not None:
                     try:
-                        pc.params = PolicyParams(
-                            n_users=sla.n, epsilon=eps, eta=eta, boost=boost
-                        )
+                        pc.params = PolicyParams(n_users=sla.n, epsilon=eps, eta=eta)
                     except ValueError as exc:
                         errors.append(f"policy {name}: {exc}")
                     else:
@@ -338,11 +324,6 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     )
     if window_stride is not None and window_stride < 1:
         errors.append(f"metrics window_stride must be a positive integer, got {window_stride}")
-    queue_norms = True
-    if "queue_norms" in met:
-        parsed = _parse_bool(met["queue_norms"], "metrics queue_norms", errors)
-        if parsed is not None:
-            queue_norms = parsed
     if sla_window_policy is not None:
         if stride != 1:
             errors.append("metrics sla_window needs run stride = 1 (full trace)")
@@ -360,7 +341,6 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     if errors or sla is None:
         return None, errors, warnings
     cfg = ExperimentConfig(
-        path=path,
         workload_type=wl_type,
         horizon=horizon,
         sla=sla,
@@ -376,29 +356,17 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         sla_window_policy=sla_window_policy,
         tau=tau,
         window_stride=window_stride,
-        queue_norms=queue_norms,
         output_dir=output_dir,
     )
     return cfg, errors, warnings
 
 
 def _policy_echo(cfg: ExperimentConfig) -> list[str]:
-    lines = []
-    for pc in cfg.policies:
-        params = pc.params
-        if params is None:
-            continue
-        if params.canonical_boost:
-            lines.append(f"policy {pc.name}: boost = {params.boost!r} (canonical)")
-        else:
-            canonical = PolicyParams(
-                n_users=params.n_users, epsilon=params.epsilon, eta=params.eta
-            )
-            lines.append(
-                f"policy {pc.name}: boost = {params.boost!r} "
-                f"(override; canonical would be {canonical.boost!r})"
-            )
-    return lines
+    return [
+        f"policy {pc.name}: boost = {pc.params.boost!r} (canonical)"
+        for pc in cfg.policies
+        if pc.params is not None
+    ]
 
 
 def _build_source(cfg: ExperimentConfig):
@@ -513,15 +481,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         summary[f"{prefix}.final_queue_l1"] = float(trace.final_queue.sum())
         summary[f"{prefix}.final_queue_l2"] = float(np.sqrt((trace.final_queue**2).sum()))
 
+    # The eps=0 optimum is computed once for the shared loads and once per
+    # row under the adversary, where each row has its own loads.
     if shared_loads is not None:
-        shared_opt = offline.offline_optimal_value(shared_loads, 0.0)
-        summary["offline_optimal_eps0"] = shared_opt
+        opt0 = offline.offline_optimal_value(shared_loads, 0.0)
+        summary["offline_optimal_eps0"] = opt0
     for pc in cfg.policies:
         loads_used = realized.get(pc.name)
         if loads_used is None:
             continue
-        opt0 = offline.offline_optimal_value(loads_used, 0.0)
         if adversary:
+            opt0 = offline.offline_optimal_value(loads_used, 0.0)
             summary[f"policy.{pc.name}.offline_optimal_eps0"] = opt0
             summary[f"policy.{pc.name}.offline_gap"] = opt0 - float(
                 traces[pc.name].total_work.sum()
@@ -541,12 +511,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             os.path.join(cfg.output_dir, f"cumulative_work_{name}.csv"),
             metrics_mod.cumulative_work(trace),
         )
-    if cfg.queue_norms:
-        for name, trace in traces.items():
-            report = metrics_mod.queue_two_norm(trace)
-            _write_series(os.path.join(cfg.output_dir, f"queue_two_norm_{name}.csv"), report)
-            summary[f"policy.{name}.queue_l2_final"] = report.metadata["final"]
-            summary[f"policy.{name}.queue_l2_time_avg"] = report.metadata["time_average"]
+        report = metrics_mod.queue_two_norm(trace)
+        _write_series(os.path.join(cfg.output_dir, f"queue_two_norm_{name}.csv"), report)
+        summary[f"policy.{name}.queue_l2_final"] = report.metadata["final"]
+        summary[f"policy.{name}.queue_l2_time_avg"] = report.metadata["time_average"]
     for a, b in cfg.work_difference:
         report = metrics_mod.work_difference(traces[a], traces[b])
         _write_series(os.path.join(cfg.output_dir, f"work_difference_{a}_{b}.csv"), report)

@@ -91,15 +91,14 @@ class PolicyParams:
     """Parameters of the multiplicative-weights policies.
 
     boost is the extra gain handed to active users below their target
-    share; when not given it is derived canonically as epsilon**2 / (8 N).
-    Explicit overrides are accepted but flagged non-canonical.
+    share, derived once as epsilon**2 / (8 N), the value the guarantees
+    are stated for.
     """
 
     n_users: int
     epsilon: float
     eta: float
-    boost: Optional[float] = None
-    canonical_boost: bool = field(init=False, default=True)
+    boost: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_users < 2:
@@ -108,14 +107,7 @@ class PolicyParams:
             raise ValueError(f"epsilon must lie in (0, 1/10], got {self.epsilon}")
         if not (0.0 < self.eta <= 1.0 / 3.0):
             raise ValueError(f"eta must lie in (0, 1/3], got {self.eta}")
-        derived = self.epsilon**2 / (8.0 * self.n_users)
-        if self.boost is None:
-            object.__setattr__(self, "boost", derived)
-        else:
-            # Also rejects inf and NaN, for which boost * 0 is NaN in the gain.
-            if not 0.0 < self.boost < np.inf:
-                raise ValueError(f"boost must be positive and finite, got {self.boost}")
-            object.__setattr__(self, "canonical_boost", bool(self.boost == derived))
+        object.__setattr__(self, "boost", self.epsilon**2 / (8.0 * self.n_users))
 
 
 def _check_loads(loads: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from slasim.core import (
     _update,
 )
 
-GAMMA_SHAPE_DEFAULT = 2000.0
+GAMMA_SHAPE = 2000.0
 
 
 class TraceFormatError(ValueError):
@@ -89,7 +89,6 @@ def synthetic_gamma(
     horizon: int,
     seed: int,
     schedule=DEFAULT_SCHEDULE,
-    shape: float = GAMMA_SHAPE_DEFAULT,
 ) -> PrecomputedLoads:
     """Periodic two-users-at-a-time workload with Gamma demands.
 
@@ -98,6 +97,8 @@ def synthetic_gamma(
     SLA-proportional demand, and user b receives per-step demand with mean
     beta(b) / (beta(a) + beta(b)); total expected demand is 1 per step.
     Uniform periods stream mean-1/2 demand to both users in the pair.
+    Every draw has shape GAMMA_SHAPE, so a demand of mean m has variance
+    m**2 / GAMMA_SHAPE.
     """
     n = sla.n
     periods = len(schedule)
@@ -107,6 +108,7 @@ def synthetic_gamma(
         )
     plen = horizon // periods
     beta = sla.beta
+    shape = GAMMA_SHAPE
     rng = np.random.default_rng(seed)
     loads = np.zeros((horizon, n))
     for p, (kind, a, b) in enumerate(schedule):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from slasim import cli, metrics
-from slasim.core import InvariantViolation
+from slasim.core import InvariantViolation, SlaVector
+from slasim.offline import offline_optimal_value
+from slasim.workloads import synthetic_gamma
 
 
 GOOD = """\
@@ -30,7 +32,6 @@ type = pg
 work_difference = pg:alg2
 sla_window = alg2
 tau = 30
-queue_norms = true
 
 [output]
 dir = {out}
@@ -221,6 +222,23 @@ def _bounded_plus(section: str, *lines: str) -> str:
     return BOUNDED + f"\n[{section}]\n" + "".join(f"{line}\n" for line in lines)
 
 
+SCHEDULED = """\
+[workload]
+type = synthetic_gamma
+horizon = 60
+sla = 0.5, 0.2, 0.3
+seed = 7
+schedule = bulk 1 2; uniform 2 3
+
+[policy s]
+type = static
+"""
+
+
+def _scheduled(schedule: str) -> str:
+    return SCHEDULED.replace("bulk 1 2; uniform 2 3", schedule)
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -275,6 +293,36 @@ def _bounded_plus(section: str, *lines: str) -> str:
             "unknown section [metric]",
             id="unknown-section",
         ),
+        # boost is derived from epsilon and queue norms are always written,
+        # so neither is a key.
+        pytest.param(
+            _bounded_plus(
+                "policy m", "type = mw_prop", "epsilon = 0.05", "eta = 0.3", "boost = 0.001"
+            ),
+            "policy m boost: unknown key",
+            id="boost-under-mw_prop",
+        ),
+        pytest.param(
+            _bounded_with("metrics", "queue_norms = true"),
+            "metrics queue_norms: unknown key",
+            id="queue_norms-unknown",
+        ),
+        pytest.param(
+            _scheduled("burst 1 2"),
+            "workload schedule period 1: expected 'bulk|uniform <a> <b>'",
+            id="schedule-kind",
+        ),
+        pytest.param(
+            _scheduled("bulk 1 1"),
+            "schedule period 1: users must be distinct and in 1..3",
+            id="schedule-same-user",
+        ),
+        # A bulk period sizes its jobs by the pair's SLA shares.
+        pytest.param(
+            _scheduled("bulk 1 2").replace("0.5, 0.2, 0.3", "0.0, 0.0, 1.0"),
+            "schedule period 1: bulk pair has zero total SLA",
+            id="schedule-zero-share-bulk",
+        ),
     ],
 )
 def test_validate_reports_errors_and_exits_one(tmp_path, capsys, text, key):
@@ -283,6 +331,18 @@ def test_validate_reports_errors_and_exits_one(tmp_path, capsys, text, key):
     captured = capsys.readouterr()
     assert code == 1
     assert f"error: {key}" in captured.err
+
+
+def test_schedule_key_sets_the_synthetic_periods(tmp_path, monkeypatch):
+    path = _write(tmp_path, SCHEDULED)
+    cfg, errors, _ = cli.parse_config(path)
+    assert errors == []
+    assert cfg.schedule == (("bulk", 0, 1), ("uniform", 1, 2))
+    out = tmp_path / "out"
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+    assert cli.main(["run", path]) == 0
+    loads = synthetic_gamma(SlaVector(np.array([0.5, 0.2, 0.3])), 60, 7, cfg.schedule).matrix
+    assert float(_read_summary(out)["offline_optimal_eps0"]) == offline_optimal_value(loads)
 
 
 def test_missing_config_exits_three(tmp_path, capsys):

@@ -459,18 +459,12 @@ def test_sla_vector_validation():
 
 def test_policy_params_validation_and_canonical_boost():
     p = PolicyParams(n_users=4, epsilon=0.1, eta=0.25)
-    assert p.boost == pytest.approx(0.1**2 / 32.0)
-    assert p.canonical_boost
-    q = PolicyParams(n_users=4, epsilon=0.1, eta=0.25, boost=0.001)
-    assert not q.canonical_boost
+    assert p.boost == 0.1**2 / (8.0 * 4)
+    with pytest.raises(TypeError):
+        PolicyParams(n_users=4, epsilon=0.1, eta=0.25, boost=0.001)
     with pytest.raises(ValueError):
         PolicyParams(n_users=1, epsilon=0.05, eta=0.1)
     with pytest.raises(ValueError):
         PolicyParams(n_users=2, epsilon=0.2, eta=0.1)
     with pytest.raises(ValueError):
         PolicyParams(n_users=2, epsilon=0.05, eta=0.4)
-    with pytest.raises(ValueError):
-        PolicyParams(n_users=2, epsilon=0.05, eta=0.1, boost=-1.0)
-    for boost in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="boost must be positive and finite"):
-            PolicyParams(n_users=2, epsilon=0.05, eta=0.1, boost=boost)

@@ -121,7 +121,7 @@ def test_synthetic_gamma_total_demand_within_moment_band():
         else:
             expected += plen
             variance += 2 * plen * 0.25 / shape
-    loads = synthetic_gamma(sla, horizon=horizon, seed=123, shape=shape).matrix
+    loads = synthetic_gamma(sla, horizon=horizon, seed=123).matrix
     total = loads.sum()
     assert abs(total - expected) <= 5.0 * math.sqrt(variance)
 
