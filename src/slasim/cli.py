@@ -10,22 +10,24 @@ section per policy:
     [metrics]             work_difference, sla_window, tau, window_stride
     [output]              dir (overridden by SLASIM_OUTPUT_DIR)
 
-The workload and policy sections read `type` and that type's own keys.
-Any other section or key is a config error, so a misspelled or misplaced setting
-never leaves its default in force unnoticed.  The multiplicative-weights
-boost is derived as epsilon**2 / (8 N) and `validate` echoes it.
+The workload and policy sections read `type` and that type's own keys
+(WORKLOAD_KEYS, POLICY_KEYS).  Any other section or key is a config error,
+so a misspelled or misplaced setting never leaves its default in force
+unnoticed.  The multiplicative-weights boost is derived as
+epsilon**2 / (8 N) and `validate` echoes it.
 
-`run` writes every policy's cumulative work and queue 2-norm CSVs, one CSV
-per requested metric series, and a `summary` file of key=value lines.
-Exit codes: 0 success, 1 config error, 2 runtime assertion failure, 3 I/O
-error.
+parse_config is the one place a config is judged: it also reads a trace_csv
+trace and checks its format, user count and length, so `validate` and `run`
+reject the same configs.  `run` writes every policy's cumulative work and
+queue 2-norm CSVs, one CSV per requested metric series, and a `summary` file
+of key=value lines.  Exit codes: 0 success, 1 config error, 2 runtime
+assertion failure, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 import time
@@ -55,9 +57,20 @@ WORK_CAP_SLACK = 1e-6
 WORKLOAD_KEYS = {
     "example1": (),
     "synthetic_gamma": ("seed", "schedule"),
-    "bernoulli_gamma": ("seed", "p", "mean"),
+    "bernoulli_gamma": ("seed",),
     "trace_csv": ("path",),
     "adversary": (),
+}
+# Keys each policy type reads besides type: mw and mw_prop need both of
+# theirs, and capacity defaults to 1.
+POLICY_KEYS = {
+    "mw": ("epsilon", "eta"),
+    "mw_prop": ("epsilon", "eta"),
+    "static": (),
+    "po": (),
+    "owm": (),
+    "pg": ("capacity",),
+    "simple_greedy": ("capacity",),
 }
 # Keys parse_config reads in the other fixed sections; the workload and
 # policy sections are checked against the keys of their own type.
@@ -66,10 +79,9 @@ SECTION_KEYS = {
     "metrics": ("work_difference", "sla_window", "tau", "window_stride"),
     "output": ("dir",),
 }
-
-
-class ConfigError(ValueError):
-    """The config file is syntactically or semantically invalid."""
+# Value rules for _read: what the value must be, and the test it passes.
+POSITIVE_INT = ("be a positive integer", lambda v: v >= 1)
+UNIT_INTERVAL = ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 @dataclass
@@ -88,9 +100,7 @@ class ExperimentConfig:
     horizon: int
     sla: SlaVector
     seed: int
-    trace_path: Optional[str]
-    burst_probability: float
-    burst_mean: Optional[float]
+    trace: Optional[workloads.PrecomputedLoads]  # trace_csv only
     schedule: tuple
     stride: int
     assert_lemmas: bool
@@ -102,20 +112,19 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _parse_float(raw: str, what: str, errors: list[str]) -> Optional[float]:
+def _read(raw: str, where: str, errors: list[str], kind=int, rule=None):
+    """Parse raw as kind (int or float) and add one error if it does not
+    parse or breaks rule.  Returns None only if it does not parse, so checks
+    that combine values still see a value that breaks its own rule."""
     try:
-        return float(raw)
+        value = kind(raw)
     except ValueError:
-        errors.append(f"{what}: expected a number, got {raw!r}")
+        noun = "an integer" if kind is int else "a number"
+        errors.append(f"{where}: expected {noun}, got {raw!r}")
         return None
-
-
-def _parse_int(raw: str, what: str, errors: list[str]) -> Optional[int]:
-    try:
-        return int(raw)
-    except ValueError:
-        errors.append(f"{what}: expected an integer, got {raw!r}")
-        return None
+    if rule is not None and not rule[1](value):
+        errors.append(f"{where} must {rule[0]}, got {value}")
+    return value
 
 
 def _check_keys(section: str, keys, known, errors: list[str]) -> None:
@@ -128,14 +137,13 @@ def _parse_schedule(raw: str, errors: list[str]):
     """Period list like 'bulk 2 3; bulk 1 2; uniform 2 3' (1-based users)."""
     schedule = []
     for idx, chunk in enumerate(raw.split(";")):
+        where = f"workload schedule period {idx + 1}"
         parts = chunk.split()
         if len(parts) != 3 or parts[0] not in ("bulk", "uniform"):
-            errors.append(
-                f"workload schedule period {idx + 1}: expected 'bulk|uniform <a> <b>', got {chunk.strip()!r}"
-            )
+            errors.append(f"{where}: expected 'bulk|uniform <a> <b>', got {chunk.strip()!r}")
             continue
-        a = _parse_int(parts[1], f"schedule period {idx + 1} user", errors)
-        b = _parse_int(parts[2], f"schedule period {idx + 1} user", errors)
+        a = _read(parts[1], f"{where} user", errors)
+        b = _read(parts[2], f"{where} user", errors)
         if a is not None and b is not None:
             schedule.append((parts[0], a - 1, b - 1))
     return tuple(schedule)
@@ -170,9 +178,8 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         )
     else:
         _check_keys("workload", wl, ("type", "horizon", "sla") + WORKLOAD_KEYS[wl_type], errors)
-    horizon = _parse_int(wl.get("horizon", "0"), "workload horizon", errors) or 0
-    if horizon < 1:
-        errors.append(f"workload horizon must be a positive integer, got {horizon}")
+    # A horizon that does not parse is reported once; 0 passes the checks below.
+    horizon = _read(wl.get("horizon", "0"), "workload horizon", errors, rule=POSITIVE_INT) or 0
 
     sla = None
     if "sla" not in wl:
@@ -184,16 +191,7 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         except ValueError as exc:
             errors.append(f"workload sla: {exc}")
 
-    seed = _parse_int(wl.get("seed", "0"), "workload seed", errors) or 0
-    trace_path = wl.get("path", None)
-    burst_p = _parse_float(wl.get("p", "0.5"), "workload p", errors)
-    if burst_p is not None and not 0.0 < burst_p <= 1.0:
-        errors.append(f"workload p must lie in (0, 1], got {burst_p}")
-    burst_mean = (
-        _parse_float(wl["mean"], "workload mean", errors) if "mean" in wl else None
-    )
-    if burst_mean is not None and not (burst_mean > 0.0 and math.isfinite(burst_mean)):
-        errors.append(f"workload mean must be positive and finite, got {burst_mean}")
+    seed = _read(wl.get("seed", "0"), "workload seed", errors)
     schedule = workloads.DEFAULT_SCHEDULE
     if "schedule" in wl:
         schedule = _parse_schedule(wl["schedule"], errors)
@@ -212,23 +210,32 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
                     f"synthetic_gamma horizon must be divisible by {periods}, got {horizon}"
                 )
             for idx, (kind, a, b) in enumerate(schedule):
+                where = f"workload schedule period {idx + 1}"
                 if not (0 <= a < n and 0 <= b < n and a != b):
-                    errors.append(
-                        f"schedule period {idx + 1}: users must be distinct and in 1..{n}"
-                    )
+                    errors.append(f"{where}: users must be distinct and in 1..{n}")
                 elif kind == "bulk" and sla.beta[a] + sla.beta[b] <= 0.0:
-                    errors.append(f"schedule period {idx + 1}: bulk pair has zero total SLA")
+                    errors.append(f"{where}: bulk pair has zero total SLA")
         if wl_type == "adversary" and n != 2:
             errors.append(f"adversary workload needs exactly 2 users, sla has {n}")
+    trace = None
+    trace_path = wl.get("path")
     if wl_type == "trace_csv" and not trace_path:
         errors.append("trace_csv workload needs a path key")
-    if wl_type == "trace_csv" and trace_path and not os.path.exists(trace_path):
-        errors.append(f"trace file not found: {trace_path}")
+    elif wl_type == "trace_csv":
+        try:
+            trace = workloads.load_trace_csv(trace_path)
+        except FileNotFoundError:
+            errors.append(f"trace file not found: {trace_path}")
+        except (workloads.TraceFormatError, UnicodeDecodeError) as exc:
+            errors.append(f"workload path {trace_path}: {exc}")
+        else:
+            if sla is not None and trace.n_users != sla.n:
+                errors.append(f"trace has {trace.n_users} users but sla has {sla.n}")
+            if trace.horizon < horizon:
+                errors.append(f"trace provides {trace.horizon} steps, config asks for {horizon}")
 
     run_sec = parser["run"] if parser.has_section("run") else {}
-    stride = _parse_int(run_sec.get("stride", "1"), "run stride", errors)
-    if stride is not None and stride < 1:
-        errors.append(f"run stride must be a positive integer, got {stride}")
+    stride = _read(run_sec.get("stride", "1"), "run stride", errors, rule=POSITIVE_INT)
     profile = run_sec.get("profile", "debug").strip().lower()
     if profile not in ("debug", "release"):
         errors.append(f"run profile must be debug or release, got {profile!r}")
@@ -247,21 +254,19 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         if any(p.name == name for p in policy_configs):
             errors.append(f"duplicate policy name {name!r}")
             continue
-        if ptype not in policies.POLICY_NAMES + OFFLINE_TYPES:
+        if ptype not in POLICY_KEYS:
             errors.append(
-                f"policy {name}: type must be one of "
-                f"{', '.join(policies.POLICY_NAMES + OFFLINE_TYPES)}, got {ptype!r}"
+                f"policy {name}: type must be one of {', '.join(POLICY_KEYS)}, got {ptype!r}"
             )
             continue
         pc = PolicyConfig(name=name, type=ptype)
-        known = ["type"]
-        if ptype in ("mw", "mw_prop"):
-            known += ["epsilon", "eta"]
+        keys = POLICY_KEYS[ptype]
+        if "epsilon" in keys:
             if "epsilon" not in sec or "eta" not in sec:
                 errors.append(f"policy {name}: type {ptype} needs epsilon and eta")
             else:
-                eps = _parse_float(sec["epsilon"], f"policy {name} epsilon", errors)
-                eta = _parse_float(sec["eta"], f"policy {name} eta", errors)
+                eps = _read(sec["epsilon"], f"policy {name} epsilon", errors, float)
+                eta = _read(sec["eta"], f"policy {name} eta", errors, float)
                 if sla is not None and eps is not None and eta is not None:
                     try:
                         pc.params = PolicyParams(n_users=sla.n, epsilon=eps, eta=eta)
@@ -274,26 +279,19 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
                                 f"= {2 * eps / sla.n}; the multiplicative-boost "
                                 f"guarantees need beta(i) >= 2*epsilon/N"
                             )
-        if ptype in OFFLINE_TYPES:
-            known.append("capacity")
-            if "capacity" in sec:
-                cap = _parse_float(sec["capacity"], f"policy {name} capacity", errors)
-                if cap is not None:
-                    pc.capacity = cap
-            if not (0.0 < pc.capacity <= 1.0):
-                errors.append(f"policy {name}: capacity must lie in (0, 1], got {pc.capacity}")
-        _check_keys(section, sec, known, errors)
+        if "capacity" in keys:
+            pc.capacity = _read(
+                sec.get("capacity", "1"), f"policy {name} capacity", errors, float, UNIT_INTERVAL
+            )
+        if wl_type == "adversary" and ptype in OFFLINE_TYPES:
+            errors.append(
+                f"policy {name}: offline schedulers cannot be driven by the "
+                f"adversary workload (loads adapt to one online policy)"
+            )
+        _check_keys(section, sec, ("type",) + keys, errors)
         policy_configs.append(pc)
     if not policy_configs:
         errors.append("no [policy <name>] sections found")
-
-    if wl_type == "adversary":
-        for pc in policy_configs:
-            if pc.type in OFFLINE_TYPES:
-                errors.append(
-                    f"policy {pc.name}: offline schedulers cannot be driven by the "
-                    f"adversary workload (loads adapt to one online policy)"
-                )
 
     met = parser["metrics"] if parser.has_section("metrics") else {}
     known = {p.name for p in policy_configs}
@@ -314,16 +312,12 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
     sla_window_policy = met.get("sla_window", "").strip() or None
     if sla_window_policy is not None and sla_window_policy not in known:
         errors.append(f"metrics sla_window: unknown policy {sla_window_policy!r}")
-    tau = _parse_int(met.get("tau", "500"), "metrics tau", errors)
-    if tau is not None and tau < 1:
-        errors.append(f"metrics tau must be a positive integer, got {tau}")
-    window_stride = (
-        _parse_int(met["window_stride"], "metrics window_stride", errors)
-        if "window_stride" in met
-        else None
-    )
-    if window_stride is not None and window_stride < 1:
-        errors.append(f"metrics window_stride must be a positive integer, got {window_stride}")
+    tau = _read(met.get("tau", "500"), "metrics tau", errors, rule=POSITIVE_INT)
+    window_stride = None
+    if "window_stride" in met:
+        window_stride = _read(
+            met["window_stride"], "metrics window_stride", errors, rule=POSITIVE_INT
+        )
     if sla_window_policy is not None:
         if stride != 1:
             errors.append("metrics sla_window needs run stride = 1 (full trace)")
@@ -345,9 +339,7 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         horizon=horizon,
         sla=sla,
         seed=seed,
-        trace_path=trace_path,
-        burst_probability=burst_p,
-        burst_mean=burst_mean,
+        trace=trace,
         schedule=schedule,
         stride=stride,
         assert_lemmas=profile == "debug",
@@ -375,23 +367,10 @@ def _build_source(cfg: ExperimentConfig):
     if cfg.workload_type == "synthetic_gamma":
         return workloads.synthetic_gamma(cfg.sla, cfg.horizon, cfg.seed, cfg.schedule)
     if cfg.workload_type == "bernoulli_gamma":
-        return workloads.bernoulli_gamma_fuzz(
-            cfg.sla.n, cfg.horizon, cfg.seed, cfg.burst_probability, cfg.burst_mean
-        )
-    if cfg.workload_type == "trace_csv":
-        source = workloads.load_trace_csv(cfg.trace_path)
-        if source.n_users != cfg.sla.n:
-            raise ConfigError(
-                f"trace has {source.n_users} users but sla has {cfg.sla.n}"
-            )
-        if source.horizon < cfg.horizon:
-            raise ConfigError(
-                f"trace provides {source.horizon} steps, config asks for {cfg.horizon}"
-            )
-        return source
-    if cfg.workload_type == "adversary":
-        return None  # one adversary instance per driven policy
-    raise ConfigError(f"unhandled workload type {cfg.workload_type!r}")
+        return workloads.bernoulli_gamma_fuzz(cfg.sla.n, cfg.horizon, cfg.seed)
+    # trace_csv replays the trace parse_config loaded; adversary has no shared
+    # source, as each driven policy gets its own QueueAdversary.
+    return cfg.trace
 
 
 _CSV_BLOCK_ROWS = 4096
@@ -577,9 +556,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         summary = run_experiment(cfg)
-    except (ConfigError, workloads.TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InvariantViolation as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2

@@ -130,8 +130,6 @@ def proportional_greedy(
                 left -= rest[tight]
                 work[tight] = rest[tight]
                 busy[tight] = False
-                if left <= 0.0:
-                    break
             else:
                 np.copyto(work, (beta / share_total) * left, where=busy)
                 break

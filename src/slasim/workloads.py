@@ -24,6 +24,7 @@ from slasim.core import (
 )
 
 GAMMA_SHAPE = 2000.0
+BURST_PROBABILITY = 0.5  # per user and step, in bernoulli_gamma_fuzz
 
 
 class TraceFormatError(ValueError):
@@ -133,24 +134,14 @@ def synthetic_gamma(
     return PrecomputedLoads(loads)
 
 
-def bernoulli_gamma_fuzz(
-    n_users: int,
-    horizon: int,
-    seed: int,
-    p: float = 0.5,
-    mean: Optional[float] = None,
-) -> PrecomputedLoads:
-    """Each user independently demands Gamma(2, mean/2) with probability p
-    per step, else nothing.  Default mean makes total expected demand 1
-    per step."""
+def bernoulli_gamma_fuzz(n_users: int, horizon: int, seed: int) -> PrecomputedLoads:
+    """Each user independently demands Gamma(2, mean/2) with probability
+    BURST_PROBABILITY per step, else nothing; mean = 1 / (N p) makes total
+    expected demand 1 per step."""
     if n_users < 1 or horizon < 1:
         raise ValueError("need at least one user and one step")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if mean is None:
-        mean = 1.0 / (n_users * p)
-    if mean <= 0.0:
-        raise ValueError(f"mean must be positive, got {mean}")
+    p = BURST_PROBABILITY
+    mean = 1.0 / (n_users * p)
     rng = np.random.default_rng(seed)
     bursts = rng.random((horizon, n_users)) < p
     sizes = rng.gamma(2.0, mean / 2.0, size=(horizon, n_users))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from slasim import cli, metrics
+from slasim import cli, metrics, policies, workloads
 from slasim.core import InvariantViolation, SlaVector
 from slasim.offline import offline_optimal_value
 from slasim.workloads import synthetic_gamma
@@ -245,14 +247,25 @@ def _scheduled(schedule: str) -> str:
         pytest.param("[workload]\ntype = nope\n", "workload type", id="workload-type"),
         # Out-of-range values are config errors, never replaced by a default
         # or left to crash the run.
-        pytest.param(_bounded_with("workload", "p = 0"), "workload p", id="p-zero"),
-        pytest.param(_bounded_with("workload", "mean = -1"), "workload mean", id="mean-negative"),
+        # bernoulli_gamma bursts with a fixed probability and mean, so
+        # neither is a key.
+        pytest.param(
+            _bounded_with("workload", "p = 0"), "workload p: unknown key", id="p-zero"
+        ),
+        pytest.param(
+            _bounded_with("workload", "mean = -1"), "workload mean: unknown key", id="mean-negative"
+        ),
         pytest.param(_bounded_with("run", "stride = 0"), "run stride", id="stride-zero"),
         pytest.param(_bounded_with("metrics", "tau = 0"), "metrics tau", id="tau-zero"),
         pytest.param(
             _bounded_with("metrics", "window_stride = 0"),
             "metrics window_stride",
             id="window_stride-zero",
+        ),
+        pytest.param(
+            _bounded_plus("policy b", "type = pg", "capacity = 1.5"),
+            "policy b capacity must lie in (0, 1], got 1.5",
+            id="capacity-above-one",
         ),
         # Keys and sections nothing reads are config errors naming the
         # section and key, never dropped in favour of a default.
@@ -314,14 +327,19 @@ def _scheduled(schedule: str) -> str:
         ),
         pytest.param(
             _scheduled("bulk 1 1"),
-            "schedule period 1: users must be distinct and in 1..3",
+            "workload schedule period 1: users must be distinct and in 1..3",
             id="schedule-same-user",
         ),
         # A bulk period sizes its jobs by the pair's SLA shares.
         pytest.param(
             _scheduled("bulk 1 2").replace("0.5, 0.2, 0.3", "0.0, 0.0, 1.0"),
-            "schedule period 1: bulk pair has zero total SLA",
+            "workload schedule period 1: bulk pair has zero total SLA",
             id="schedule-zero-share-bulk",
+        ),
+        pytest.param(
+            _scheduled("bulk 1 2; uniform two 3"),
+            "workload schedule period 2 user: expected an integer, got 'two'",
+            id="schedule-user-not-integer",
         ),
     ],
 )
@@ -331,6 +349,18 @@ def test_validate_reports_errors_and_exits_one(tmp_path, capsys, text, key):
     captured = capsys.readouterr()
     assert code == 1
     assert f"error: {key}" in captured.err
+
+
+def test_unparsable_value_is_one_error(tmp_path):
+    # A horizon that does not parse is not also reported as out of range.
+    path = _write(tmp_path, BOUNDED.replace("horizon = 60", "horizon = abc"))
+    cfg, errors, _ = cli.parse_config(path)
+    assert cfg is None
+    assert errors == ["workload horizon: expected an integer, got 'abc'"]
+
+
+def test_policy_keys_cover_every_policy_type():
+    assert tuple(cli.POLICY_KEYS) == policies.POLICY_NAMES + cli.OFFLINE_TYPES
 
 
 def test_schedule_key_sets_the_synthetic_periods(tmp_path, monkeypatch):
@@ -464,6 +494,133 @@ dir = {out}
     assert gap == pytest.approx(float(summary["policy.owm.final_queue_l1"]), abs=1e-9)
     assert gap >= np.sqrt(400.0 / 40.0)
     assert int(summary["policy.owm.adversary_phases"]) > 0
+
+
+DEMO_TRACE = Path(__file__).resolve().parents[1] / "data" / "demo_trace.csv"
+
+
+def _trace_config(tmp_path, trace, horizon, sla):
+    return f"""\
+[workload]
+type = trace_csv
+horizon = {horizon}
+path = {trace}
+sla = {sla}
+
+[policy po]
+type = po
+
+[policy pg]
+type = pg
+
+[output]
+dir = {tmp_path / "out"}
+"""
+
+
+def _bad_trace_cases(tmp_path):
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("t,user1,user2\n1,0.5\n")
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"t,user1\n1,\xff\n")
+    six = "0.23, 0.18, 0.25, 0.12, 0.14, 0.08"
+    return {
+        "users": (
+            _trace_config(tmp_path, DEMO_TRACE, 100, "0.5, 0.2, 0.3"),
+            "trace has 6 users but sla has 3",
+        ),
+        "steps": (
+            _trace_config(tmp_path, DEMO_TRACE, 20000, six),
+            "trace provides 14628 steps, config asks for 20000",
+        ),
+        "malformed": (
+            _trace_config(tmp_path, malformed, 1, "0.5, 0.5"),
+            f"workload path {malformed}: line 2: expected 3 fields, got 2",
+        ),
+        "not-utf8": (
+            _trace_config(tmp_path, not_utf8, 1, "1.0"),
+            f"workload path {not_utf8}: 'utf-8' codec can't decode byte 0xff in position 10: "
+            "invalid start byte",
+        ),
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", ["users", "steps", "malformed", "not-utf8"])
+def test_bad_trace_is_a_config_error_for_validate_and_run(tmp_path, capsys, command, case):
+    # The trace is read and checked at parse time, so validate rejects
+    # what run rejects, and run writes nothing.
+    text, message = _bad_trace_cases(tmp_path)[case]
+    path = _write(tmp_path, text)
+    code = cli.main([command, path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert "ok:" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reads_the_trace_once(tmp_path, monkeypatch):
+    trace = tmp_path / "trace.csv"
+    workloads.write_trace_csv(trace, np.array([[0.5, 0.25], [0.0, 1.0], [0.25, 0.5]]))
+    calls = []
+    load = workloads.load_trace_csv
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(workloads, "load_trace_csv", counting_load)
+    path = _write(tmp_path, _trace_config(tmp_path, trace, 3, "0.5, 0.5"))
+    assert cli.main(["validate", path]) == 0
+    assert calls == [str(trace)]  # validate reads and checks the trace
+    calls.clear()
+    assert cli.main(["run", path]) == 0
+    assert calls == [str(trace)]  # run replays the trace parse_config read
+    summary = _read_summary(tmp_path / "out")
+    assert float(summary["policy.pg.total_work"]) == pytest.approx(2.5, abs=1e-12)
+
+
+def test_run_bernoulli_gamma_with_offline_types_and_a_warning(tmp_path, capsys):
+    # An mw policy whose SLA falls below 2*epsilon/N is a warning, not an
+    # error; both offline types at full capacity reach the eps=0 optimum.
+    out = tmp_path / "out"
+    text = f"""\
+[workload]
+type = bernoulli_gamma
+horizon = 300
+sla = 0.9, 0.04, 0.06
+seed = 4
+
+[policy pg]
+type = pg
+
+[policy sg]
+type = simple_greedy
+
+[policy m]
+type = mw
+epsilon = 0.1
+eta = 0.3
+
+[output]
+dir = {out}
+"""
+    path = _write(tmp_path, text)
+    code = cli.main(["run", path])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert any(
+        line.startswith("warning: policy m:") and "2*epsilon/N" in line
+        for line in stdout.splitlines()
+    )
+    summary = _read_summary(out)
+    opt0 = float(summary["offline_optimal_eps0"])
+    loads = workloads.bernoulli_gamma_fuzz(3, 300, 4).matrix
+    assert opt0 == offline_optimal_value(loads)
+    for name in ("pg", "sg"):
+        assert float(summary[f"policy.{name}.total_work"]) == pytest.approx(opt0, abs=1e-9)
+    assert summary["policy.sg.type"] == "simple_greedy"
 
 
 def test_run_malformed_trace_exits_one(tmp_path, capsys):

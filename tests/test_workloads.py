@@ -154,9 +154,7 @@ def test_fuzz_load_shape_and_mean():
     # default sizing keeps expected total demand at one unit per step
     assert m.sum(axis=1).mean() == pytest.approx(1.0, abs=0.02)
     with pytest.raises(ValueError):
-        bernoulli_gamma_fuzz(n_users=2, horizon=10, seed=0, p=0.0)
-    with pytest.raises(ValueError):
-        bernoulli_gamma_fuzz(n_users=2, horizon=10, seed=0, mean=-1.0)
+        bernoulli_gamma_fuzz(n_users=0, horizon=10, seed=0)
 
 
 def test_precomputed_loads_replay():
