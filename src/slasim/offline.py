@@ -47,6 +47,18 @@ def offline_optimal_value(loads: np.ndarray, eps: float = 0.0) -> float:
     return float((prefix + slack).min())
 
 
+def _numpy_sum(values: list) -> float:
+    """numpy's sum of `values`, bit for bit.  numpy adds fewer than 8
+    values left to right and 8 or more pairwise; the builtin `sum` may
+    compensate (it does from Python 3.12), so it is not used."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _offline_trace(loads: np.ndarray, name: str, serve, stride: int = 1) -> SimulationTrace:
     """Walk the load matrix allocating `serve(pending) -> alloc` each step;
     every alloc(i) is at most pending(i), so it is also the work done."""
@@ -96,32 +108,28 @@ def proportional_greedy(
     A user's pending/share ratio does not change while others are served
     fully, so one stable sort of the backlogged users by that ratio gives
     the tightest-first order of every round (zero shares sort last, in
-    index order).  Each round's share total is numpy's sum over the
-    still-backlogged shares: numpy sums 8 or more values pairwise, so a
-    running Python total would differ from it in the last bits.
+    index order).  The walk runs on Python floats, and each round's share
+    total is `_numpy_sum` of the still-backlogged shares, the bits of
+    numpy's `beta[busy].sum()`.
     """
     loads = _check_loads(loads)
     if loads.shape[1] != sla.n:
         raise ValueError(f"loads have {loads.shape[1]} users but SLA has {sla.n}")
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
-    beta = sla.beta
-    shares = beta.tolist()
-    positive = beta > 0.0
-    all_positive = bool(positive.all())
-    ratio = np.full(sla.n, np.inf)  # zero shares stay inf: divide skips them
+    shares = sla.beta.tolist()
+    all_positive = min(shares) > 0.0
 
     def serve(pending: np.ndarray) -> np.ndarray:
-        if all_positive and pending.sum() <= capacity:
-            return pending.copy()  # everything fits
-        busy = pending > 0.0
-        backlogged = busy.nonzero()[0]
-        np.divide(pending, beta, out=ratio, where=positive)
         rest = pending.tolist()
-        work = np.zeros(pending.size)
+        if all_positive and _numpy_sum(rest) <= capacity:
+            return pending.copy()  # everything fits
+        ratio = [r / s if s > 0.0 else np.inf for r, s in zip(rest, shares)]
+        busy = [i for i, r in enumerate(rest) if r > 0.0]
+        work = [0.0] * len(rest)
         left = capacity
-        for tight in backlogged[ratio[backlogged].argsort(kind="stable")].tolist():
-            share_total = float(beta[busy].sum())
+        for tight in sorted(busy, key=ratio.__getitem__):
+            share_total = _numpy_sum([shares[i] for i in busy])
             if share_total <= 0.0:
                 raise DegenerateSlaError(
                     "all backlogged users have zero SLA share; proportional split undefined"
@@ -129,11 +137,12 @@ def proportional_greedy(
             if rest[tight] < (shares[tight] / share_total) * left:
                 left -= rest[tight]
                 work[tight] = rest[tight]
-                busy[tight] = False
+                busy.remove(tight)
             else:
-                np.copyto(work, (beta / share_total) * left, where=busy)
+                for i in busy:
+                    work[i] = (shares[i] / share_total) * left
                 break
-        return work
+        return np.array(work)
 
     return _offline_trace(loads, "pg", serve, stride)
 

@@ -29,31 +29,6 @@ from slasim.projection import project_truncated_simplex
 LEMMA_SLACK = 1e-10
 
 
-def _gain(
-    h: np.ndarray,
-    active: np.ndarray,
-    beta: np.ndarray,
-    epsilon: float,
-    boost: float,
-    proportional: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user exponent gains and the underserved mask.
-
-    Active users get gain 1, underserved active users 1 + boost, inactive
-    users 0.  Exact equality with the threshold counts as served.
-    """
-    if proportional:
-        active_share = beta[active].sum()
-        if active_share > 0.0:
-            threshold = (1.0 - epsilon) * beta / active_share
-        else:
-            threshold = np.zeros_like(beta)  # zero-SLA users are never underserved
-    else:
-        threshold = beta
-    under = active & (h < threshold)
-    return active + boost * under, under
-
-
 class MultiplicativeWeights:
     """Multiplicative-weights policy (basic or proportional variant).
 
@@ -94,6 +69,10 @@ class MultiplicativeWeights:
         # The underserved-growth bound for the basic variant needs every
         # share to clear 2*eps/N; skip that monitor when it does not apply.
         self._floor_ok = sla.theory_applicable(params.epsilon)
+        # Underserved below beta, or (1 - eps) * beta over the active share.
+        self._target = (1.0 - params.epsilon) * sla.beta if proportional else sla.beta
+        # exp(eta * gain) for gain 0 (idle), 1 (active), 1 + boost (underserved).
+        self._factors = np.exp(params.eta * np.array([0.0, 1.0, 1.0 + params.boost]))
         self._h: Optional[np.ndarray] = None
         self._t = 0
 
@@ -103,12 +82,25 @@ class MultiplicativeWeights:
         self._h = np.full(n_users, 1.0 / n_users)
         self._t = 0
 
+    def _step(self, h: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-user step factors exp(eta * gain) and the underserved mask.
+
+        Active users get gain 1, underserved active users 1 + boost, inactive
+        users 0.  Exact equality with the threshold counts as served.
+        """
+        threshold = self._target
+        if self.proportional:
+            active_share = self.sla.beta[active].sum()
+            # Zero-SLA users are never underserved.
+            threshold = threshold / active_share if active_share > 0.0 else 0.0
+        under = active & (h < threshold)
+        return self._factors[np.add(active, under, dtype=np.intp)], under
+
     def decide(self, active: np.ndarray) -> np.ndarray:
         h = self._h
-        p = self.params
         self._t += 1
-        gain, under = _gain(h, active, self.sla.beta, p.epsilon, p.boost, self.proportional)
-        h_new = project_truncated_simplex(h * np.exp(p.eta * gain), p.epsilon)
+        factors, under = self._step(h, active)
+        h_new = project_truncated_simplex(h * factors, self.params.epsilon)
         if self.monitor_lemmas:
             self._check_lemmas(h, h_new, active, under)
         self._h = h_new

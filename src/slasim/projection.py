@@ -14,7 +14,10 @@ leaves all unclipped coordinates at or above the floor is the optimal one.
 Only the sorted values are needed, not the permutation, so the cost is one
 ``np.sort`` plus O(n) work.  A suffix cumsum of the sorted values gives the
 rescale factor of every candidate prefix size at once, and an ``argmax``
-over the mask of qualifying candidates picks the smallest.  Every
+over the mask of qualifying candidates picks the smallest.  The
+numerators ``1 - k * eps / n`` depend on ``n`` and ``eps`` alone, and a
+policy projects with one pair every step, so ``_budget`` builds them once
+per pair (an LRU cache of 16).  Every
 unclipped coordinate is then ``y(i)`` times that factor.  Coordinates
 strictly below the first unclipped sorted value are clipped; when that
 value is tied with the last clipped one, the tied coordinates of lowest
@@ -24,7 +27,17 @@ order a stable sort would give them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=16)
+def _budget(n: int, eps: float) -> np.ndarray:
+    """Read-only 1 - (eps / n) * k for k = 0..n-2: the mass left when k clip."""
+    ramp = 1.0 - (eps / n) * np.arange(n - 1)
+    ramp.flags.writeable = False
+    return ramp
 
 
 def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
@@ -57,12 +70,12 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
     y = y / top
     ys = ys / top
     # suffix[k] = sum of ys[k:]
-    suffix = np.cumsum(ys[::-1])[::-1]
+    suffix = ys[::-1].cumsum()[::-1]
 
     # Clipped coordinates form a prefix of the ascending order.  Take the
     # first prefix size whose rescale keeps the smallest unclipped entry at
     # the floor or above; size n-1 always qualifies.
-    scales = (1.0 - floor * np.arange(n - 1)) / suffix[:-1]
+    scales = _budget(n, eps) / suffix[:-1]
     ok = ys[:-1] * scales >= floor
     k = int(ok.argmax())
     if ok[k]:

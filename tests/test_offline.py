@@ -14,6 +14,7 @@ from slasim.core import DegenerateSlaError, _check_loads
 from slasim.offline import (
     DualSolution,
     InfeasibleDualError,
+    _numpy_sum,
     _offline_trace,
     dual_value,
     offline_optimal_value,
@@ -150,6 +151,23 @@ def test_proportional_greedy_returns_when_a_ratio_overflows():
         signal.signal(signal.SIGALRM, previous)
     assert np.array_equal(trace.work[0], [0.0, 1.0])
     assert np.array_equal(trace.final_queue, [0.0, 1e10 - 1.0])
+
+
+def test_numpy_sum_matches_numpy_bitwise():
+    # proportional_greedy's share totals must be numpy's masked sums: left
+    # to right below 8 values, pairwise from 8 up.  The builtin sum gives
+    # 0.6 here from Python 3.12 on; numpy and _numpy_sum give 0.6 + 1 ulp.
+    assert _numpy_sum([0.1, 0.2, 0.3]) == float(np.array([0.1, 0.2, 0.3]).sum())
+    assert _numpy_sum([0.1, 0.2, 0.3]) == 0.6000000000000001
+    rng = np.random.default_rng(3)
+    for n in range(1, 21):
+        for _ in range(50):
+            beta = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+            mask = rng.random(n) < 0.7
+            picked = beta[mask]
+            want = float(picked.sum())
+            assert _numpy_sum(picked.tolist()) == want, (n, picked)
+            assert _numpy_sum(beta.tolist()) == float(beta.sum()), (n, beta)
 
 
 @st.composite

@@ -15,7 +15,6 @@ from slasim.policies import (
     OnlineProportional,
     OnlineWorkMaximizing,
     StaticSla,
-    _gain,
     make_policy,
 )
 from slasim.workloads import PrecomputedLoads, bernoulli_gamma_fuzz
@@ -53,23 +52,46 @@ def test_single_active_user_closed_form():
     assert out[1] == pytest.approx(1.0 / (1.0 + e), abs=1e-12)
 
 
+def _mw(beta, eps: float = 0.05, proportional: bool = False) -> MultiplicativeWeights:
+    beta = np.asarray(beta, dtype=float)
+    return MultiplicativeWeights(SlaVector(beta), _params(beta.size, eps), proportional)
+
+
 def test_exact_share_counts_as_served():
-    sla = SlaVector(np.array([0.3, 0.7]))
+    policy = _mw([0.3, 0.7])
     h = np.array([0.3, 0.7])
     active = np.array([True, True])
-    _, under = _gain(h, active, sla.beta, 0.05, 1.0, proportional=False)
+    _, under = policy._step(h, active)
     assert not under.any()
-    _, under = _gain(h - 1e-9, active, sla.beta, 0.05, 1.0, proportional=False)
+    _, under = policy._step(h - 1e-9, active)
     assert under.all()
 
 
 def test_gain_is_exactly_zero_one_or_one_plus_boost():
-    beta = np.array([0.5, 0.25, 0.25])
+    policy = _mw([0.5, 0.25, 0.25])
     h = np.array([0.2, 0.4, 0.4])
-    boost = 0.1
-    gain, under = _gain(h, np.array([True, True, False]), beta, 0.05, boost, False)
+    factors, under = policy._step(h, np.array([True, True, False]))
     assert list(under) == [True, False, False]
-    assert np.array_equal(gain, [1.0 + boost, 1.0, 0.0])
+    p = policy.params
+    assert np.array_equal(factors, np.exp(p.eta * np.array([1.0 + p.boost, 1.0, 0.0])))
+
+
+@pytest.mark.parametrize("proportional", [False, True], ids=["basic", "prop"])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 1000])
+def test_step_factors_are_exp_of_the_gain_bitwise(n, proportional):
+    # decide looks the factor up in a table of three; it must be the very
+    # exp(eta * gain) that the gain vector gives, bit for bit.
+    rng = np.random.default_rng(n)
+    policy = _mw(rng.dirichlet(np.ones(n)), proportional=proportional)
+    p = policy.params
+    seen = set()
+    for _ in range(20):
+        h = rng.dirichlet(np.ones(n))
+        active = rng.random(n) < 0.6
+        factors, under = policy._step(h, active)
+        assert np.array_equal(factors, np.exp(p.eta * (active + p.boost * under)))
+        seen.update(zip(active.tolist(), under.tolist()))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_underserved_user_gains_on_served_user():
@@ -82,19 +104,19 @@ def test_underserved_user_gains_on_served_user():
 
 
 def test_proportional_threshold_uses_active_share():
-    beta = np.array([0.2, 0.3, 0.5])
+    policy = _mw([0.2, 0.3, 0.5], eps=0.1, proportional=True)
     active = np.array([True, True, False])
     h = np.array([0.35, 0.55, 0.10])
     # active share is 0.5; targets are (1-eps) * (0.4, 0.6, .)
-    _, under = _gain(h, active, beta, 0.1, 1.0, proportional=True)
+    _, under = policy._step(h, active)
     assert list(under) == [True, False, False]
 
 
 def test_zero_active_share_never_underserved():
-    beta = np.array([0.0, 0.5, 0.5])
+    policy = _mw([0.0, 0.5, 0.5], eps=0.1, proportional=True)
     active = np.array([True, False, False])
     h = np.array([0.2, 0.4, 0.4])
-    _, under = _gain(h, active, beta, 0.1, 1.0, proportional=True)
+    _, under = policy._step(h, active)
     assert not under.any()
 
 
