@@ -108,9 +108,10 @@ def proportional_greedy(
     A user's pending/share ratio does not change while others are served
     fully, so one stable sort of the backlogged users by that ratio gives
     the tightest-first order of every round (zero shares sort last, in
-    index order).  The walk runs on Python floats, and each round's share
-    total is `_numpy_sum` of the still-backlogged shares, the bits of
-    numpy's `beta[busy].sum()`.
+    index order).  The walk runs on Python floats, which costs less than
+    numpy's per-call dispatch at small N.  Each round's share total is
+    `_numpy_sum` of the still-backlogged shares, the bits of numpy's
+    `beta[busy].sum()`, so the schedule is bitwise that of a numpy walk.
     """
     loads = _check_loads(loads)
     if loads.shape[1] != sla.n:
