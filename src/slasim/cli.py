@@ -5,16 +5,15 @@ section per policy:
 
     [workload]            type, horizon, sla, and type-specific keys
     [run]                 stride, profile (debug arms the lemma monitors)
-    [policy <name>]       type = mw | mw_prop (epsilon, eta) | static | po |
-                          owm | pg | simple_greedy (capacity)
+    [policy <name>]       type and type-specific keys
     [metrics]             work_difference, sla_window, tau, window_stride
     [output]              dir (overridden by SLASIM_OUTPUT_DIR)
 
 The workload and policy sections read `type` and that type's own keys
-(WORKLOAD_KEYS, POLICY_KEYS).  Any other section or key is a config error,
-so a misspelled or misplaced setting never leaves its default in force
-unnoticed.  The multiplicative-weights boost is derived as
-epsilon**2 / (8 N) and `validate` echoes it.
+(WORKLOAD_KEYS, policies.POLICY_TYPES).  Any other section or key is a
+config error, so a misspelled or misplaced setting never leaves its
+default in force unnoticed.  The multiplicative-weights boost is derived
+as epsilon**2 / (8 N) and `validate` echoes it.
 
 parse_config is the one place a config is judged: it also reads a trace_csv
 trace and checks its format, user count and length, so `validate` and `run`
@@ -51,7 +50,6 @@ from slasim.core import (
 )
 
 OUTPUT_DIR_ENV = "SLASIM_OUTPUT_DIR"
-OFFLINE_TYPES = ("pg", "simple_greedy")
 WORK_CAP_SLACK = 1e-6
 # Keys each workload type reads besides type, horizon and sla.
 WORKLOAD_KEYS = {
@@ -60,17 +58,6 @@ WORKLOAD_KEYS = {
     "bernoulli_gamma": ("seed",),
     "trace_csv": ("path",),
     "adversary": (),
-}
-# Keys each policy type reads besides type: mw and mw_prop need both of
-# theirs, and capacity defaults to 1.
-POLICY_KEYS = {
-    "mw": ("epsilon", "eta"),
-    "mw_prop": ("epsilon", "eta"),
-    "static": (),
-    "po": (),
-    "owm": (),
-    "pg": ("capacity",),
-    "simple_greedy": ("capacity",),
 }
 # Keys parse_config reads in the other fixed sections; the workload and
 # policy sections are checked against the keys of their own type.
@@ -254,14 +241,13 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         if any(p.name == name for p in policy_configs):
             errors.append(f"duplicate policy name {name!r}")
             continue
-        if ptype not in POLICY_KEYS:
-            errors.append(
-                f"policy {name}: type must be one of {', '.join(POLICY_KEYS)}, got {ptype!r}"
-            )
+        spec = policies.POLICY_TYPES.get(ptype)
+        if spec is None:
+            types = ", ".join(policies.POLICY_TYPES)
+            errors.append(f"policy {name}: type must be one of {types}, got {ptype!r}")
             continue
         pc = PolicyConfig(name=name, type=ptype)
-        keys = POLICY_KEYS[ptype]
-        if "epsilon" in keys:
+        if "epsilon" in spec.keys:
             if "epsilon" not in sec or "eta" not in sec:
                 errors.append(f"policy {name}: type {ptype} needs epsilon and eta")
             else:
@@ -279,16 +265,16 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
                                 f"= {2 * eps / sla.n}; the multiplicative-boost "
                                 f"guarantees need beta(i) >= 2*epsilon/N"
                             )
-        if "capacity" in keys:
+        if "capacity" in spec.keys:
             pc.capacity = _read(
                 sec.get("capacity", "1"), f"policy {name} capacity", errors, float, UNIT_INTERVAL
             )
-        if wl_type == "adversary" and ptype in OFFLINE_TYPES:
+        if wl_type == "adversary" and spec.build is None:
             errors.append(
                 f"policy {name}: offline schedulers cannot be driven by the "
                 f"adversary workload (loads adapt to one online policy)"
             )
-        _check_keys(section, sec, ("type",) + keys, errors)
+        _check_keys(section, sec, ("type",) + spec.keys, errors)
         policy_configs.append(pc)
     if not policy_configs:
         errors.append("no [policy <name>] sections found")
@@ -319,7 +305,7 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
             met["window_stride"], "metrics window_stride", errors, rule=POSITIVE_INT
         )
     if sla_window_policy is not None:
-        if stride != 1:
+        if stride is not None and stride != 1:
             errors.append("metrics sla_window needs run stride = 1 (full trace)")
         if tau is not None and tau > horizon >= 1:
             errors.append(f"metrics tau must lie in [1, horizon], got {tau}")
@@ -421,10 +407,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # Every online policy runs as one row of a single lockstep batch, in
     # config order; each adversary row gets its own QueueAdversary.
     adversary = cfg.workload_type == "adversary"
-    online = [pc for pc in cfg.policies if pc.type not in OFFLINE_TYPES]
+    online = [pc for pc in cfg.policies if policies.POLICY_TYPES[pc.type].build is not None]
     rows = [
         (
-            policies.make_policy(pc.type, cfg.sla, pc.params, cfg.assert_lemmas),
+            policies.POLICY_TYPES[pc.type].build(cfg.sla, pc.params, cfg.assert_lemmas),
             workloads.QueueAdversary() if adversary else shared_source,
         )
         for pc in online
@@ -433,7 +419,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     online_runs = {pc.name: (trace, source) for pc, trace, (_, source) in zip(online, batch, rows)}
 
     for pc in cfg.policies:
-        if pc.type in OFFLINE_TYPES:
+        if pc.name not in online_runs:
             if pc.type == "pg":
                 trace = offline.proportional_greedy(
                     shared_loads, cfg.sla, pc.capacity, stride=cfg.stride

@@ -19,7 +19,7 @@ within a rotating "served" set.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,20 @@ from slasim.projection import project_truncated_simplex
 LEMMA_SLACK = 1e-10
 
 
-class MultiplicativeWeights:
+class _SlaPolicy:
+    """A policy built for one SLA vector, and so for its number of users."""
+
+    def __init__(self, sla: SlaVector):
+        if sla is None:
+            raise ValueError(f"policy '{self.name}' needs an SLA vector")
+        self.sla = sla
+
+    def reset(self, n_users: int) -> None:
+        if n_users != self.sla.n:
+            raise ValueError(f"policy built for {self.sla.n} users, asked for {n_users}")
+
+
+class MultiplicativeWeights(_SlaPolicy):
     """Multiplicative-weights policy (basic or proportional variant).
 
     With monitor_lemmas=True the multiplicative-boost guarantees are
@@ -54,15 +67,15 @@ class MultiplicativeWeights:
         proportional: bool = False,
         monitor_lemmas: bool = False,
     ):
+        self.name = "mw_prop" if proportional else "mw"
+        super().__init__(sla)
         if params.n_users != sla.n:
             raise ValueError(
                 f"params sized for {params.n_users} users but SLA has {sla.n}"
             )
-        self.sla = sla
         self.params = params
         self.proportional = bool(proportional)
         self.monitor_lemmas = bool(monitor_lemmas)
-        self.name = "mw_prop" if proportional else "mw"
         n = sla.n
         self._growth = params.epsilon * params.eta / (4.0 * n)
         self._boost_growth = params.epsilon * params.eta * params.boost / (2.0 * n)
@@ -77,8 +90,7 @@ class MultiplicativeWeights:
         self._t = 0
 
     def reset(self, n_users: int) -> None:
-        if n_users != self.sla.n:
-            raise ValueError(f"policy built for {self.sla.n} users, asked for {n_users}")
+        super().reset(n_users)
         self._h = np.full(n_users, 1.0 / n_users)
         self._t = 0
 
@@ -143,34 +155,20 @@ class MultiplicativeWeights:
                     )
 
 
-class StaticSla:
+class StaticSla(_SlaPolicy):
     """Always allocate exactly the SLA shares; leftover capacity idles."""
 
     name = "static"
-
-    def __init__(self, sla: SlaVector):
-        self.sla = sla
-
-    def reset(self, n_users: int) -> None:
-        if n_users != self.sla.n:
-            raise ValueError(f"policy built for {self.sla.n} users, asked for {n_users}")
 
     def decide(self, active: np.ndarray) -> np.ndarray:
         return self.sla.beta
 
 
-class OnlineProportional:
+class OnlineProportional(_SlaPolicy):
     """Split the whole resource among active users in proportion to their
     SLA shares; allocate beta itself when nobody is active."""
 
     name = "po"
-
-    def __init__(self, sla: SlaVector):
-        self.sla = sla
-
-    def reset(self, n_users: int) -> None:
-        if n_users != self.sla.n:
-            raise ValueError(f"policy built for {self.sla.n} users, asked for {n_users}")
 
     def decide(self, active: np.ndarray) -> np.ndarray:
         beta = self.sla.beta
@@ -214,7 +212,28 @@ class OnlineWorkMaximizing:
         return served / count
 
 
-POLICY_NAMES = ("mw", "mw_prop", "static", "po", "owm")
+class PolicyType(NamedTuple):
+    keys: tuple  # config keys the type reads besides type
+    build: Optional[Callable]  # (sla, params, monitor_lemmas) -> policy; None if offline
+
+
+# Every policy type a config can name, in the order error messages list
+# them.  mw and mw_prop need both of their keys; capacity defaults to 1.
+POLICY_TYPES = {
+    "mw": PolicyType(
+        ("epsilon", "eta"),
+        lambda sla, params, monitor: MultiplicativeWeights(sla, params, False, monitor),
+    ),
+    "mw_prop": PolicyType(
+        ("epsilon", "eta"),
+        lambda sla, params, monitor: MultiplicativeWeights(sla, params, True, monitor),
+    ),
+    "static": PolicyType((), lambda sla, params, monitor: StaticSla(sla)),
+    "po": PolicyType((), lambda sla, params, monitor: OnlineProportional(sla)),
+    "owm": PolicyType((), lambda sla, params, monitor: OnlineWorkMaximizing()),
+    "pg": PolicyType(("capacity",), None),
+    "simple_greedy": PolicyType(("capacity",), None),
+}
 
 
 def make_policy(
@@ -223,21 +242,11 @@ def make_policy(
     params: Optional[PolicyParams] = None,
     monitor_lemmas: bool = False,
 ):
-    """Instantiate a policy from its config name."""
-    if name in ("mw", "mw_prop"):
-        if sla is None or params is None:
-            raise ValueError(f"policy '{name}' needs both an SLA vector and parameters")
-        return MultiplicativeWeights(
-            sla, params, proportional=(name == "mw_prop"), monitor_lemmas=monitor_lemmas
-        )
-    if name == "static":
-        if sla is None:
-            raise ValueError("policy 'static' needs an SLA vector")
-        return StaticSla(sla)
-    if name == "po":
-        if sla is None:
-            raise ValueError("policy 'po' needs an SLA vector")
-        return OnlineProportional(sla)
-    if name == "owm":
-        return OnlineWorkMaximizing()
-    raise ValueError(f"unknown policy '{name}' (expected one of {', '.join(POLICY_NAMES)})")
+    """Instantiate an online policy from its config type."""
+    spec = POLICY_TYPES.get(name)
+    if spec is None or spec.build is None:
+        online = ", ".join(t for t, s in POLICY_TYPES.items() if s.build is not None)
+        raise ValueError(f"unknown policy '{name}' (expected one of {online})")
+    if spec.keys and params is None:
+        raise ValueError(f"policy '{name}' needs both an SLA vector and parameters")
+    return spec.build(sla, params, monitor_lemmas)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slasim import cli, metrics, policies, workloads
-from slasim.core import InvariantViolation, SlaVector
+from slasim.core import InvariantViolation, PolicyParams, SlaVector
 from slasim.offline import offline_optimal_value
 from slasim.workloads import synthetic_gamma
 
@@ -352,15 +352,60 @@ def test_validate_reports_errors_and_exits_one(tmp_path, capsys, text, key):
 
 
 def test_unparsable_value_is_one_error(tmp_path):
-    # A horizon that does not parse is not also reported as out of range.
-    path = _write(tmp_path, BOUNDED.replace("horizon = 60", "horizon = abc"))
+    cases = [
+        # A horizon that does not parse is not also reported as out of range.
+        (
+            BOUNDED.replace("horizon = 60", "horizon = abc"),
+            "workload horizon: expected an integer, got 'abc'",
+        ),
+        # A stride that does not parse is not also reported as breaking the
+        # full trace the SLA window needs.
+        (
+            _bounded_with("run", "stride = abc").replace(
+                "[metrics]\n", "[metrics]\nsla_window = s\ntau = 30\n"
+            ),
+            "run stride: expected an integer, got 'abc'",
+        ),
+    ]
+    for text, error in cases:
+        path = _write(tmp_path, text)
+        cfg, errors, _ = cli.parse_config(path)
+        assert cfg is None
+        assert errors == [error]
+
+
+def _minimal_policy_config(workload: str, ptype: str) -> str:
+    lines = [f"type = {ptype}"] + [
+        f"{key} = {value}"
+        for key, value in (("epsilon", "0.05"), ("eta", "0.3"), ("capacity", "0.9"))
+        if key in policies.POLICY_TYPES[ptype].keys
+    ]
+    return (
+        f"[workload]\ntype = {workload}\nhorizon = 60\nsla = 0.5, 0.5\n\n[policy p]\n"
+        + "".join(f"{line}\n" for line in lines)
+    )
+
+
+@pytest.mark.parametrize("ptype", list(policies.POLICY_TYPES))
+def test_each_policy_type_validates_and_builds(tmp_path, capsys, ptype):
+    spec = policies.POLICY_TYPES[ptype]
+    path = _write(tmp_path, _minimal_policy_config("bernoulli_gamma", ptype))
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr().err == ""
+
+    path = _write(tmp_path, _minimal_policy_config("adversary", ptype), "adv.cfg")
     cfg, errors, _ = cli.parse_config(path)
-    assert cfg is None
-    assert errors == ["workload horizon: expected an integer, got 'abc'"]
-
-
-def test_policy_keys_cover_every_policy_type():
-    assert tuple(cli.POLICY_KEYS) == policies.POLICY_NAMES + cli.OFFLINE_TYPES
+    offline_error = (
+        "policy p: offline schedulers cannot be driven by the adversary workload "
+        "(loads adapt to one online policy)"
+    )
+    if spec.build is None:
+        assert errors == [offline_error]
+    else:
+        assert errors == []
+        sla = SlaVector(np.array([0.5, 0.5]))
+        params = PolicyParams(n_users=2, epsilon=0.05, eta=0.3)
+        assert policies.make_policy(ptype, sla, params).name == ptype
 
 
 def test_schedule_key_sets_the_synthetic_periods(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from slasim import (
 from slasim.core import EMPTY_TOLERANCE, _update
 from slasim.offline import proportional_greedy, simple_greedy
 from slasim.policies import (
-    POLICY_NAMES,
+    POLICY_TYPES,
     MultiplicativeWeights,
     OnlineProportional,
     OnlineWorkMaximizing,
@@ -302,6 +302,7 @@ def test_run_validates_arguments():
 
 
 _TRACE_FIELDS = [f.name for f in dataclasses.fields(SimulationTrace)]
+_ONLINE_TYPES = [name for name, spec in POLICY_TYPES.items() if spec.build is not None]
 
 
 @st.composite
@@ -309,11 +310,11 @@ def _batches(draw):
     """A batch: horizon, stride and, per row, its policy name and a factory
     of fresh (policy, source) pairs.
 
-    Rows mix all five policies (mw and mw_prop monitored or not) over up
-    to three load matrices, shared or separate; in about half the batches
-    N is 2 and one row is driven by its own QueueAdversary.  Half the
-    batches allow zero SLA shares, so po can raise DegenerateSlaError and
-    the error path is compared too.
+    Rows mix every online type in POLICY_TYPES (mw and mw_prop monitored or
+    not) over up to three load matrices, shared or separate; in about half
+    the batches N is 2 and one row is driven by its own QueueAdversary.
+    Half the batches allow zero SLA shares, so po can raise
+    DegenerateSlaError and the error path is compared too.
     """
     adversary = draw(st.booleans())
     n = 2 if adversary else draw(st.integers(2, 12))
@@ -337,12 +338,12 @@ def _batches(draw):
     ]
     b = draw(st.integers(1, 5))
     specs = [
-        (draw(st.sampled_from(POLICY_NAMES)), draw(st.booleans()), draw(st.integers(0, 2)))
+        (draw(st.sampled_from(_ONLINE_TYPES)), draw(st.booleans()), draw(st.integers(0, 2)))
         for _ in range(b)
     ]
     if adversary:
         specs[draw(st.integers(0, b - 1))] = (
-            draw(st.sampled_from(POLICY_NAMES)), draw(st.booleans()), None
+            draw(st.sampled_from(_ONLINE_TYPES)), draw(st.booleans()), None
         )
 
     def row(spec):

@@ -317,14 +317,29 @@ def test_factory_builds_each_policy():
     assert make_policy("owm").name == "owm"
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy("fifo")
+    # The offline schedulers replay a load matrix and have no online policy.
+    for offline in ("pg", "simple_greedy"):
+        with pytest.raises(ValueError, match="unknown policy") as err:
+            make_policy(offline, sla, params)
+        assert str(err.value).endswith("(expected one of mw, mw_prop, static, po, owm)")
     with pytest.raises(ValueError):
         make_policy("mw", sla, None)
+    for name in ("static", "po"):
+        with pytest.raises(ValueError, match="needs an SLA vector"):
+            make_policy(name)
 
 
 def test_policy_rejects_mismatched_reset():
     sla = SlaVector(np.array([0.5, 0.5]))
-    policy = MultiplicativeWeights(sla, _params(2))
-    with pytest.raises(ValueError):
-        policy.reset(3)
+    # Each SLA policy is sized by its SLA vector.
+    for policy in (
+        MultiplicativeWeights(sla, _params(2)),
+        MultiplicativeWeights(sla, _params(2), proportional=True),
+        StaticSla(sla),
+        OnlineProportional(sla),
+    ):
+        policy.reset(2)
+        with pytest.raises(ValueError, match="policy built for 2 users, asked for 3"):
+            policy.reset(3)
     with pytest.raises(ValueError):
         MultiplicativeWeights(sla, _params(3))
