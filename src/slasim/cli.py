@@ -17,10 +17,14 @@ as epsilon**2 / (8 N) and `validate` echoes it.
 
 parse_config is the one place a config is judged: it also reads a trace_csv
 trace and checks its format, user count and length, so `validate` and `run`
-reject the same configs.  `run` writes every policy's cumulative work and
-queue 2-norm CSVs, one CSV per requested metric series, and a `summary` file
-of key=value lines.  Exit codes: 0 success, 1 config error, 2 runtime
-assertion failure, 3 I/O error.
+reject the same configs.  work_difference is a config error under the
+adversary workload, where each policy sees its own loads.  `run` writes
+every policy's cumulative work and queue 2-norm CSVs, one CSV per requested
+metric series, and a `summary` file of key=value lines.  The offline
+policies run in one worker process beside the online batch, so `run` uses
+up to 2 CPUs.  Exit codes: 0 success, 1 config error, 2 runtime failure (a
+broken invariant, or an SLA split with every competing share zero), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from slasim import metrics as metrics_mod
 from slasim import offline, policies, workloads
 from slasim.core import (
+    DegenerateSlaError,
     InvariantViolation,
     PolicyParams,
     SimulationTrace,
@@ -310,9 +315,9 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         if tau is not None and tau > horizon >= 1:
             errors.append(f"metrics tau must lie in [1, horizon], got {tau}")
     if wl_type == "adversary" and work_diff:
-        warnings.append(
-            "work_difference under the adversary workload compares runs with "
-            "different realized loads unless the policies coincide"
+        errors.append(
+            "metrics work_difference is undefined under the adversary workload "
+            "(each policy sees its own loads)"
         )
 
     out_sec = parser["output"] if parser.has_section("output") else {}
@@ -389,62 +394,123 @@ def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
             fh.write("".join(map(row, steps[block].tolist(), values[block].tolist())))
 
 
+class _Finished(NamedTuple):
+    """One policy's summary entries, by the part of the summary they sit in,
+    and its cumulative work if a work difference names the policy."""
+
+    totals: dict
+    norms: dict
+    window: dict
+    cumulative: Optional[metrics_mod.SeriesReport]
+
+
+def _finish(name: str, trace: SimulationTrace, cfg: ExperimentConfig) -> _Finished:
+    """Write one policy's CSVs, and its SLA window CSV if it is the window
+    target, and return what the summary and the work differences need."""
+    prefix = f"policy.{name}"
+    totals = {
+        f"{prefix}.total_work": float(trace.total_work.sum()),
+        f"{prefix}.final_queue_l1": float(trace.final_queue.sum()),
+        f"{prefix}.final_queue_l2": float(np.sqrt((trace.final_queue**2).sum())),
+    }
+    cumulative = metrics_mod.cumulative_work(trace)
+    _write_series(os.path.join(cfg.output_dir, f"cumulative_work_{name}.csv"), cumulative)
+    report = metrics_mod.queue_two_norm(trace)
+    _write_series(os.path.join(cfg.output_dir, f"queue_two_norm_{name}.csv"), report)
+    norms = {
+        f"{prefix}.queue_l2_final": report.metadata["final"],
+        f"{prefix}.queue_l2_time_avg": report.metadata["time_average"],
+    }
+    window = {}
+    if name == cfg.sla_window_policy:
+        stats = metrics_mod.sla_window_stats(trace, cfg.sla, cfg.tau, cfg.window_stride)
+        report = metrics_mod.SeriesReport(
+            name=f"sla_window[{name}]", steps=stats.starts, values=stats.gaps
+        )
+        _write_series(os.path.join(cfg.output_dir, f"sla_window_{name}.csv"), report)
+        window[f"{prefix}.sla_window.tau"] = stats.tau
+        window[f"{prefix}.sla_window.stride"] = stats.stride
+        for i in range(cfg.sla.n):
+            window[f"{prefix}.sla_window.user{i + 1}.min"] = float(stats.mins[i])
+            window[f"{prefix}.sla_window.user{i + 1}.max"] = float(stats.maxs[i])
+            window[f"{prefix}.sla_window.user{i + 1}.mean"] = float(stats.means[i])
+            window[f"{prefix}.sla_window.user{i + 1}.std"] = float(stats.stds[i])
+    # Only work differences read the series afterwards; leaving the others
+    # out keeps them from being held or sent back from the worker.
+    if not any(name in pair for pair in cfg.work_difference):
+        cumulative = None
+    return _Finished(totals, norms, window, cumulative)
+
+
+def _run_offline(pc: PolicyConfig, loads: np.ndarray, cfg: ExperimentConfig) -> _Finished:
+    """Worker job: replay one offline policy on the loads and finish it where
+    its trace lives, so its per-step arrays never leave the worker."""
+    if pc.type == "pg":
+        trace = offline.proportional_greedy(loads, cfg.sla, pc.capacity, stride=cfg.stride)
+    else:
+        trace = offline.simple_greedy(loads, pc.capacity, stride=cfg.stride)
+    return _finish(pc.name, trace, cfg)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run every configured policy, write CSVs and the summary file."""
+    """Run every configured policy, write CSVs and the summary file.
+
+    Offline replays depend only on the loads, so they run in one worker
+    process while this process steps the online policies."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     shared_source = _build_source(cfg)
     shared_loads = shared_source.matrix[: cfg.horizon] if shared_source is not None else None
+    adversary = cfg.workload_type == "adversary"
+    online = [pc for pc in cfg.policies if policies.POLICY_TYPES[pc.type].build is not None]
+    offline_pcs = [pc for pc in cfg.policies if policies.POLICY_TYPES[pc.type].build is None]
 
-    traces: dict[str, SimulationTrace] = {}
-    realized: dict[str, np.ndarray] = {}
+    pool = None
+    if offline_pcs:
+        # Imported here: a config without offline policies never loads
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=1)
+    try:
+        jobs = {pc.name: pool.submit(_run_offline, pc, shared_loads, cfg) for pc in offline_pcs}
+        # Every online policy runs as one row of a single lockstep batch, in
+        # config order; each adversary row gets its own QueueAdversary.
+        rows = [
+            (
+                policies.POLICY_TYPES[pc.type].build(cfg.sla, pc.params, cfg.assert_lemmas),
+                workloads.QueueAdversary() if adversary else shared_source,
+            )
+            for pc in online
+        ]
+        batch = run_batch(rows, cfg.horizon, stride=cfg.stride) if rows else []
+        # Adversary rows each see their own loads, recoverable from an
+        # unthinned trace; every other policy sees the shared loads.
+        realized = {} if adversary else {pc.name: shared_loads for pc in cfg.policies}
+        phases: dict[str, int] = {}
+        finished: dict[str, _Finished] = {}
+        for pc, trace, (_, source) in zip(online, batch, rows):
+            if adversary:
+                phases[pc.name] = len(source.phase_log)
+                if trace.is_full:
+                    realized[pc.name] = trace.load
+            finished[pc.name] = _finish(pc.name, trace, cfg)
+        for name, job in jobs.items():
+            finished[name] = job.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
     summary: dict[str, object] = {
         "workload": cfg.workload_type,
         "horizon": cfg.horizon,
         "n_users": cfg.sla.n,
         "seed": cfg.seed,
     }
-
-    # Every online policy runs as one row of a single lockstep batch, in
-    # config order; each adversary row gets its own QueueAdversary.
-    adversary = cfg.workload_type == "adversary"
-    online = [pc for pc in cfg.policies if policies.POLICY_TYPES[pc.type].build is not None]
-    rows = [
-        (
-            policies.POLICY_TYPES[pc.type].build(cfg.sla, pc.params, cfg.assert_lemmas),
-            workloads.QueueAdversary() if adversary else shared_source,
-        )
-        for pc in online
-    ]
-    batch = run_batch(rows, cfg.horizon, stride=cfg.stride) if rows else []
-    online_runs = {pc.name: (trace, source) for pc, trace, (_, source) in zip(online, batch, rows)}
-
     for pc in cfg.policies:
-        if pc.name not in online_runs:
-            if pc.type == "pg":
-                trace = offline.proportional_greedy(
-                    shared_loads, cfg.sla, pc.capacity, stride=cfg.stride
-                )
-            else:
-                trace = offline.simple_greedy(shared_loads, pc.capacity, stride=cfg.stride)
-            loads_used = shared_loads
-        else:
-            trace, source = online_runs[pc.name]
-            if adversary:
-                loads_used = None  # reconstruct from the trace when unthinned
-                if trace.is_full:
-                    loads_used = trace.load
-                summary[f"policy.{pc.name}.adversary_phases"] = len(source.phase_log)
-            else:
-                loads_used = shared_loads
-        traces[pc.name] = trace
-        if loads_used is not None:
-            realized[pc.name] = loads_used
-
-        prefix = f"policy.{pc.name}"
-        summary[f"{prefix}.type"] = pc.type
-        summary[f"{prefix}.total_work"] = float(trace.total_work.sum())
-        summary[f"{prefix}.final_queue_l1"] = float(trace.final_queue.sum())
-        summary[f"{prefix}.final_queue_l2"] = float(np.sqrt((trace.final_queue**2).sum()))
+        if pc.name in phases:
+            summary[f"policy.{pc.name}.adversary_phases"] = phases[pc.name]
+        summary[f"policy.{pc.name}.type"] = pc.type
+        summary.update(finished[pc.name].totals)
 
     # The eps=0 optimum is computed once for the shared loads and once per
     # row under the adversary, where each row has its own loads.
@@ -455,54 +521,28 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         loads_used = realized.get(pc.name)
         if loads_used is None:
             continue
+        total = finished[pc.name].totals[f"policy.{pc.name}.total_work"]
         if adversary:
             opt0 = offline.offline_optimal_value(loads_used, 0.0)
             summary[f"policy.{pc.name}.offline_optimal_eps0"] = opt0
-            summary[f"policy.{pc.name}.offline_gap"] = opt0 - float(
-                traces[pc.name].total_work.sum()
-            )
+            summary[f"policy.{pc.name}.offline_gap"] = opt0 - total
         if pc.params is not None:
             summary[f"policy.{pc.name}.offline_optimal_rest"] = (
                 offline.offline_optimal_value(loads_used, pc.params.epsilon)
             )
-        total = float(traces[pc.name].total_work.sum())
         if total > opt0 + WORK_CAP_SLACK:
             raise InvariantViolation(
                 f"policy {pc.name} reports {total} work, above the offline optimum {opt0}"
             )
 
-    for name, trace in traces.items():
-        _write_series(
-            os.path.join(cfg.output_dir, f"cumulative_work_{name}.csv"),
-            metrics_mod.cumulative_work(trace),
-        )
-        report = metrics_mod.queue_two_norm(trace)
-        _write_series(os.path.join(cfg.output_dir, f"queue_two_norm_{name}.csv"), report)
-        summary[f"policy.{name}.queue_l2_final"] = report.metadata["final"]
-        summary[f"policy.{name}.queue_l2_time_avg"] = report.metadata["time_average"]
+    for pc in cfg.policies:
+        summary.update(finished[pc.name].norms)
     for a, b in cfg.work_difference:
-        report = metrics_mod.work_difference(traces[a], traces[b])
+        report = metrics_mod.work_difference(finished[a].cumulative, finished[b].cumulative)
         _write_series(os.path.join(cfg.output_dir, f"work_difference_{a}_{b}.csv"), report)
         summary[f"work_difference.{a}.{b}.final"] = report.metadata["final"]
     if cfg.sla_window_policy is not None:
-        trace = traces[cfg.sla_window_policy]
-        stats = metrics_mod.sla_window_stats(trace, cfg.sla, cfg.tau, cfg.window_stride)
-        report = metrics_mod.SeriesReport(
-            name=f"sla_window[{cfg.sla_window_policy}]",
-            steps=stats.starts,
-            values=stats.gaps,
-        )
-        _write_series(
-            os.path.join(cfg.output_dir, f"sla_window_{cfg.sla_window_policy}.csv"), report
-        )
-        prefix = f"policy.{cfg.sla_window_policy}.sla_window"
-        summary[f"{prefix}.tau"] = stats.tau
-        summary[f"{prefix}.stride"] = stats.stride
-        for i in range(cfg.sla.n):
-            summary[f"{prefix}.user{i + 1}.min"] = float(stats.mins[i])
-            summary[f"{prefix}.user{i + 1}.max"] = float(stats.maxs[i])
-            summary[f"{prefix}.user{i + 1}.mean"] = float(stats.means[i])
-            summary[f"{prefix}.user{i + 1}.std"] = float(stats.stds[i])
+        summary.update(finished[cfg.sla_window_policy].window)
 
     with open(os.path.join(cfg.output_dir, "summary"), "w", encoding="utf-8") as fh:
         for key, value in summary.items():
@@ -544,6 +584,9 @@ def main(argv=None) -> int:
         summary = run_experiment(cfg)
     except InvariantViolation as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
+        return 2
+    except DegenerateSlaError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -37,34 +37,48 @@ class SeriesReport:
 
 
 def cumulative_work(trace: SimulationTrace) -> SeriesReport:
-    """Total work completed by the end of each retained step; non-decreasing."""
+    """Total work completed by the end of each retained step; non-decreasing.
+
+    The metadata holds the run's total work and its per-user total load, so
+    work_difference can compare two runs from their reports alone."""
     return SeriesReport(
         name=f"cumulative_work[{trace.policy}]",
         steps=trace.steps,
         values=trace.cum_work.sum(axis=1),
-        metadata={"policy": trace.policy, "total": float(trace.total_work.sum())},
+        metadata={
+            "policy": trace.policy,
+            "total": float(trace.total_work.sum()),
+            "total_load": trace.total_load,
+        },
     )
 
 
-def work_difference(a: SimulationTrace, b: SimulationTrace) -> SeriesReport:
-    """Cumulative-work gap (a minus b) for two traces of the same run setup."""
-    if a.horizon != b.horizon or a.n_users != b.n_users:
+def work_difference(a: SeriesReport, b: SeriesReport) -> SeriesReport:
+    """Cumulative-work gap (a minus b) from the cumulative_work reports of two
+    runs of the same run setup.
+
+    Runs whose per-user load totals differ saw different loads and are
+    rejected; runs with equal totals are taken to share their loads, which
+    holds for every pair the CLI forms."""
+    horizon_a, horizon_b = int(a.steps[-1]), int(b.steps[-1])  # the last step is always kept
+    load_a, load_b = a.metadata["total_load"], b.metadata["total_load"]
+    if horizon_a != horizon_b or len(load_a) != len(load_b):
         raise ValueError(
-            f"traces disagree on shape: horizon {a.horizon} vs {b.horizon}, "
-            f"users {a.n_users} vs {b.n_users}"
+            f"traces disagree on shape: horizon {horizon_a} vs {horizon_b}, "
+            f"users {len(load_a)} vs {len(load_b)}"
         )
     if not np.array_equal(a.steps, b.steps):
         raise ValueError("traces retain different steps; rerun with equal strides")
-    if not (np.array_equal(a.load, b.load) and np.array_equal(a.total_load, b.total_load)):
+    if not np.array_equal(load_a, load_b):
         raise ValueError("traces saw different loads; work difference is undefined")
     return SeriesReport(
-        name=f"work_difference[{a.policy}-{b.policy}]",
+        name=f"work_difference[{a.metadata['policy']}-{b.metadata['policy']}]",
         steps=a.steps,
-        values=a.cum_work.sum(axis=1) - b.cum_work.sum(axis=1),
+        values=a.values - b.values,
         metadata={
-            "policy_a": a.policy,
-            "policy_b": b.policy,
-            "final": float(a.total_work.sum() - b.total_work.sum()),
+            "policy_a": a.metadata["policy"],
+            "policy_b": b.metadata["policy"],
+            "final": a.metadata["total"] - b.metadata["total"],
         },
     )
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slasim import cli, metrics, policies, workloads
-from slasim.core import InvariantViolation, PolicyParams, SlaVector
+from slasim import cli, metrics, offline, policies, workloads
+from slasim.core import InvariantViolation, PolicyParams, SlaVector, run
 from slasim.offline import offline_optimal_value
 from slasim.workloads import synthetic_gamma
 
@@ -340,6 +341,15 @@ def _scheduled(schedule: str) -> str:
             _scheduled("bulk 1 2; uniform two 3"),
             "workload schedule period 2 user: expected an integer, got 'two'",
             id="schedule-user-not-integer",
+        ),
+        # Each adversary row drives its own loads, so no two rows share the
+        # loads a work difference needs.
+        pytest.param(
+            "[workload]\ntype = adversary\nhorizon = 100\nsla = 0.5, 0.5\n\n"
+            "[policy m]\ntype = mw\nepsilon = 0.05\neta = 0.3\n\n"
+            "[policy p]\ntype = po\n\n[metrics]\nwork_difference = m:p\n",
+            "metrics work_difference is undefined under the adversary workload",
+            id="adversary-work_difference",
         ),
     ],
 )
@@ -713,3 +723,151 @@ def test_bundled_configs_validate():
         cfg, errors, _ = cli.parse_config(name)
         assert errors == [], f"{name}: {errors}"
         assert cfg is not None
+
+
+@pytest.mark.parametrize(
+    "ptype, message",
+    [
+        # po decides in this process; pg runs in the offline worker, whose
+        # exception must arrive here with its type.
+        ("po", "every active user has a zero SLA share; proportional split undefined"),
+        ("pg", "all backlogged users have zero SLA share; proportional split undefined"),
+    ],
+    ids=["po", "pg"],
+)
+def test_degenerate_sla_split_exits_two(tmp_path, capsys, ptype, message):
+    text = f"""\
+[workload]
+type = bernoulli_gamma
+horizon = 60
+sla = 1.0, 0.0
+
+[policy p]
+type = {ptype}
+
+[output]
+dir = {tmp_path / "out"}
+"""
+    path = _write(tmp_path, text)
+    code = cli.main(["run", path])
+    assert code == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+    assert multiprocessing.active_children() == []
+
+
+WORKER = """\
+[workload]
+type = bernoulli_gamma
+horizon = 400
+sla = 0.5, 0.2, 0.3
+seed = 11
+
+[run]
+stride = {stride}
+
+[policy pg]
+type = pg
+
+[policy sg]
+type = simple_greedy
+capacity = 0.9
+
+[policy m]
+type = mw
+epsilon = 0.05
+eta = 0.3
+
+[metrics]
+work_difference = pg:m, m:sg, sg:pg
+{window}
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_offline_worker_outputs_match_library_calls(tmp_path, stride):
+    out, expected = tmp_path / "out", tmp_path / "expected"
+    expected.mkdir()
+    window = "sla_window = pg\ntau = 50\n" if stride == 1 else ""
+    path = _write(tmp_path, WORKER.format(stride=stride, window=window, out=out))
+    cfg, errors, _ = cli.parse_config(path)
+    assert errors == []
+    summary = cli.run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+    loads = workloads.bernoulli_gamma_fuzz(3, 400, 11).matrix
+    params = PolicyParams(n_users=3, epsilon=0.05, eta=0.3)
+    traces = {
+        "pg": offline.proportional_greedy(loads, cfg.sla, stride=stride),
+        "sg": offline.simple_greedy(loads, 0.9, stride=stride),
+        "m": run(
+            policies.make_policy("mw", cfg.sla, params),
+            workloads.PrecomputedLoads(loads),
+            horizon=400,
+            stride=stride,
+        ),
+    }
+
+    def same_bytes(name, report):
+        cli._write_series(str(expected / name), report)
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    cumulative = {name: metrics.cumulative_work(trace) for name, trace in traces.items()}
+    for name in ("pg", "sg"):
+        trace = traces[name]
+        norms = metrics.queue_two_norm(trace)
+        same_bytes(f"cumulative_work_{name}.csv", cumulative[name])
+        same_bytes(f"queue_two_norm_{name}.csv", norms)
+        assert summary[f"policy.{name}.total_work"] == float(trace.total_work.sum())
+        assert summary[f"policy.{name}.final_queue_l1"] == float(trace.final_queue.sum())
+        assert summary[f"policy.{name}.queue_l2_final"] == norms.metadata["final"]
+        assert summary[f"policy.{name}.queue_l2_time_avg"] == norms.metadata["time_average"]
+    for a, b in cfg.work_difference:
+        report = metrics.work_difference(cumulative[a], cumulative[b])
+        same_bytes(f"work_difference_{a}_{b}.csv", report)
+        assert summary[f"work_difference.{a}.{b}.final"] == report.metadata["final"]
+    if stride == 1:
+        stats = metrics.sla_window_stats(traces["pg"], cfg.sla, 50)
+        same_bytes("sla_window_pg.csv", metrics.SeriesReport("w", stats.starts, stats.gaps))
+        for i in range(3):
+            assert summary[f"policy.pg.sla_window.user{i + 1}.mean"] == float(stats.means[i])
+            assert summary[f"policy.pg.sla_window.user{i + 1}.std"] == float(stats.stds[i])
+
+
+def test_worker_write_failure_exits_three(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "cumulative_work_pg.csv").mkdir(parents=True)
+    path = _write(tmp_path, WORKER.format(stride=1, window="", out=out))
+    code = cli.main(["run", path])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert multiprocessing.active_children() == []
+
+
+def test_offline_job_runs_in_a_spawned_worker(tmp_path):
+    # A spawned worker starts from a fresh import, as the default start
+    # method does on some platforms: the job and its arguments must travel
+    # by pickle alone and give what the job gives in this process.
+    from concurrent.futures import ProcessPoolExecutor
+
+    out = tmp_path / "out"
+    path = _write(tmp_path, WORKER.format(stride=1, window="sla_window = sg\ntau = 50\n", out=out))
+    cfg, errors, _ = cli.parse_config(path)
+    assert errors == []
+    out.mkdir()
+    pc = next(p for p in cfg.policies if p.name == "sg")
+    loads = workloads.bernoulli_gamma_fuzz(3, 400, 11).matrix
+    local = cli._run_offline(pc, loads, cfg)
+    local_bytes = {p.name: p.read_bytes() for p in out.iterdir()}
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        remote = pool.submit(cli._run_offline, pc, loads, cfg).result(timeout=120)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == local_bytes
+    assert sorted(local_bytes) == [
+        "cumulative_work_sg.csv",
+        "queue_two_norm_sg.csv",
+        "sla_window_sg.csv",
+    ]
+    assert (remote.totals, remote.norms, remote.window) == (local.totals, local.norms, local.window)
+    assert np.array_equal(remote.cumulative.values, local.cumulative.values)
+    assert np.array_equal(remote.cumulative.steps, local.cumulative.steps)

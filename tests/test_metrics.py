@@ -40,8 +40,8 @@ def test_work_difference_is_antisymmetric():
     source = example1_instance(12)
     a = _run("mw_prop", source, horizon=12)
     b = _run("static", source, horizon=12)
-    ab = work_difference(a, b)
-    ba = work_difference(b, a)
+    ab = work_difference(cumulative_work(a), cumulative_work(b))
+    ba = work_difference(cumulative_work(b), cumulative_work(a))
     assert np.array_equal(ab.values, -ba.values)
     assert ab.metadata["final"] == pytest.approx(-ba.metadata["final"])
 
@@ -50,21 +50,21 @@ def test_work_difference_of_identical_runs_is_zero():
     source = example1_instance(12)
     a = _run("static", source, horizon=12)
     b = _run("static", source, horizon=12)
-    diff = work_difference(a, b)
+    diff = work_difference(cumulative_work(a), cumulative_work(b))
     assert np.all(diff.values == 0.0)
 
 
 def test_work_difference_rejects_mismatched_traces():
-    a = _run("static", example1_instance(12), horizon=12)
-    b = _run("static", example1_instance(6), horizon=6)
+    a = cumulative_work(_run("static", example1_instance(12), horizon=12))
+    b = cumulative_work(_run("static", example1_instance(6), horizon=6))
     with pytest.raises(ValueError, match="disagree on shape"):
         work_difference(a, b)
-    c = _run("static", example1_instance(12), horizon=12, stride=3)
+    c = cumulative_work(_run("static", example1_instance(12), horizon=12, stride=3))
     with pytest.raises(ValueError, match="different steps"):
         work_difference(a, c)
     # same shape but different loads: the gap would be meaningless
     other = PrecomputedLoads(example1_instance(12).matrix[:, ::-1].copy())
-    d = _run("static", other, horizon=12)
+    d = cumulative_work(_run("static", other, horizon=12))
     with pytest.raises(ValueError, match="different loads"):
         work_difference(a, d)
 
