@@ -305,8 +305,9 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     matrix-backed source; an adaptive source drives one row only.  Raises
     ValueError for an empty batch, rows that disagree on n_users or share a
     policy or an adaptive source; LoadExhausted if a source cannot supply
-    `horizon` steps; and InvariantViolation if a load or an allocation was
-    not finite (NaN or infinite loads, NaN allocations).  Engine messages
+    `horizon` steps; and InvariantViolation, after the loop, for a load or
+    work total that is not finite (NaN or infinite loads, NaN allocations)
+    or an allocation that is negative or sums above 1.  Engine messages
     name the row and its policy, as in "row 2 (po)".
     """
     if horizon < 1:
@@ -333,6 +334,10 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     total_load = np.zeros((b, n))
     alloc = np.empty((b, n))
     load = np.empty((b, n))
+    # Running extremes of the allocations at the steps the recorder skips.
+    alloc_sum = np.empty(b)
+    top_sum = np.full(b, -np.inf)
+    low = np.full((b, n), np.inf)
     for t in range(1, horizon + 1):
         active = queue > EMPTY_TOLERANCE
         for r, decide, next_load in steppers:
@@ -349,10 +354,17 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
         total_load += load
         if t == rec.next:
             rec.keep(alloc, work, queue, load, cum)
+        else:
+            np.add.reduce(alloc, axis=1, out=alloc_sum)
+            np.maximum(top_sum, alloc_sum, out=top_sum)
+            np.minimum(low, alloc, out=low)
 
     # A NaN or infinite load reaches total_load, and a NaN allocation
     # reaches the work total through np.minimum, so two checks per row
-    # catch both.  An over-capacity allocation is not caught here.
+    # catch both.  Allocations must be nonnegative and sum to at most 1; a
+    # kept step is named only if no skipped step failed, so it is the first.
+    kept_bad = (rec.alloc.min(axis=2) < 0.0) | (rec.alloc.sum(axis=2) > 1.0 + 1e-12)
+    between_bad = (low.min(axis=1) < 0.0) | (top_sum > 1.0 + 1e-12)
     for r in range(b):
         if not np.isfinite(total_load[r]).all():
             raise InvariantViolation(
@@ -362,6 +374,14 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
         if not np.isfinite(cum[r]).all():
             raise InvariantViolation(
                 f"row {r} ({names[r]}): total work is not finite (a NaN allocation): {cum[r]}"
+            )
+        if between_bad[r] or kept_bad[:, r].any():
+            at = "between the kept steps"
+            if not between_bad[r]:
+                j = int(np.argmax(kept_bad[:, r]))
+                at = f"{rec.alloc[j, r]} at step {rec.steps[j]}"
+            raise InvariantViolation(
+                f"row {r} ({names[r]}): an allocation {at} is negative or sums above 1"
             )
     return [rec.trace(r, names[r], cum[r], total_load[r], queue[r]) for r in range(b)]
 

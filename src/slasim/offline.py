@@ -1,5 +1,5 @@
-"""Offline benchmarks: the optimal total work, two greedy schedulers that
-attain it, and dual certificates for upper-bounding any policy.
+"""Offline benchmarks: the optimal total work and two greedy schedulers
+that attain it.
 
 With hindsight over the whole load matrix, the most work any schedule with
 per-step capacity c can complete is
@@ -10,15 +10,13 @@ and any schedule that completes min(c, pending work) every step attains
 it.  Both greedies below do exactly that and differ only in how they split
 capacity among users, which is irrelevant for the total.
 
-The matching LP dual assigns each (step, user) pair a weight gamma and
-each step a capacity price; "switch" duals price the first s steps into
-load weights and the rest into capacity, and the best switch point yields
-the same optimal value, certifying it.
+The minimum in `offline_optimal_value` is the best "switch" dual of the
+matching LP (load weight 1 on steps 1..t, capacity price 1 after), so it
+also bounds any schedule's work from above; the tests build those duals to
+certify it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +28,6 @@ from slasim.core import (
     _Recorder,
     _update,
 )
-
-
-class InfeasibleDualError(ValueError):
-    """A dual candidate violates one of the LP constraints."""
 
 
 def offline_optimal_value(loads: np.ndarray, eps: float = 0.0) -> float:
@@ -146,67 +140,3 @@ def proportional_greedy(
         return np.array(work)
 
     return _offline_trace(loads, "pg", serve, stride)
-
-
-@dataclass(frozen=True)
-class DualSolution:
-    """Dual candidate: per-(step, user) load weights gamma (T x N, in [0, 1],
-    non-increasing over time) and per-step capacity prices (T,)."""
-
-    gamma: np.ndarray
-    prices: np.ndarray
-
-    def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        prices = np.asarray(self.prices, dtype=np.float64)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "prices", prices)
-        if gamma.ndim != 2 or prices.ndim != 1 or gamma.shape[0] != prices.shape[0]:
-            raise ValueError(
-                f"gamma must be T x N and prices length T, got {gamma.shape} and {prices.shape}"
-            )
-
-
-def switch_dual(s: int, horizon: int, n_users: int) -> DualSolution:
-    """The switch dual: full load weight for steps 1..s, full capacity
-    price afterwards.  Feasible for every 0 <= s <= horizon."""
-    if not (0 <= s <= horizon):
-        raise ValueError(f"switch point must lie in [0, {horizon}], got {s}")
-    gamma = np.zeros((horizon, n_users))
-    gamma[:s] = 1.0
-    prices = np.zeros(horizon)
-    prices[s:] = 1.0
-    return DualSolution(gamma, prices)
-
-
-def dual_value(dual: DualSolution, loads: np.ndarray, eps: float = 0.0) -> float:
-    """Objective of a feasible dual: an upper bound on any schedule's total
-    work at per-step capacity 1 - eps.  Raises InfeasibleDualError naming
-    the first violated constraint otherwise."""
-    loads = _check_loads(loads)
-    gamma, prices = dual.gamma, dual.prices
-    if gamma.shape != loads.shape:
-        raise ValueError(f"dual sized {gamma.shape}, loads {loads.shape}")
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-
-    neg = np.argwhere(gamma < 0.0)
-    if neg.size:
-        t, i = neg[0]
-        raise InfeasibleDualError(f"gamma[t={t + 1}, user={i + 1}] is negative")
-    if np.any(prices < 0.0):
-        t = int(np.argmax(prices < 0.0))
-        raise InfeasibleDualError(f"price[t={t + 1}] is negative")
-    cover = np.argwhere(gamma + prices[:, None] < 1.0 - 1e-12)
-    if cover.size:
-        t, i = cover[0]
-        raise InfeasibleDualError(
-            f"gamma[t={t + 1}, user={i + 1}] + price[t={t + 1}] falls below 1"
-        )
-    rising = np.argwhere(gamma[1:] > gamma[:-1] + 1e-12)
-    if rising.size:
-        t, i = rising[0]
-        raise InfeasibleDualError(
-            f"gamma increases over time for user {i + 1} between steps {t + 1} and {t + 2}"
-        )
-    return float((loads * gamma).sum() + (1.0 - eps) * prices.sum())

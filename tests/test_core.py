@@ -174,15 +174,15 @@ def test_run_rejects_a_nan_allocation():
         run(_Recording([np.nan, 0.5]), source, horizon=3)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="run does not check allocations against capacity yet; the per-step "
-    "contract check belongs in the batched engine (ROADMAP items 1 and 3)",
-)
-def test_run_rejects_an_over_capacity_allocation():
-    source = PrecomputedLoads(np.ones((5, 2)))
-    with pytest.raises(InvariantViolation):
-        run(_Recording([0.9, 0.9]), source, horizon=5)
+@pytest.mark.parametrize("alloc", [(0.9, 0.9), (-0.1, 0.5), (np.inf, 0.0)])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_run_rejects_an_over_capacity_allocation(alloc, stride):
+    # Fails without the check: (0.9, 0.9) completed 1.8 units of work per
+    # step.  At stride 7 steps 1-6 are not kept, so no step is named.
+    source = PrecomputedLoads(np.ones((10, 2)))
+    where = "at step 1 " if stride == 1 else "between the kept steps"
+    with pytest.raises(InvariantViolation, match=rf"^row 0 \(recording\): .*{where}"):
+        run(_Recording(alloc), source, horizon=10, stride=stride)
 
 
 def _mw(n: int, monitor: bool = False) -> MultiplicativeWeights:
@@ -443,6 +443,22 @@ def test_run_batch_invariant_violation_names_the_row_and_policy():
     ]
     with pytest.raises(InvariantViolation, match=r"^row 2 \(po\): total load is not finite"):
         run_batch(rows, horizon=3)
+
+
+def test_run_batch_capacity_violation_names_the_row_and_first_step():
+    class Late(_Recording):
+        def decide(self, active):
+            return np.array([0.9, 0.9]) if len(self.seen) >= 3 else super().decide(active)
+
+    sla = SlaVector(np.array([0.5, 0.5]))
+    rows = [
+        (StaticSla(sla), PrecomputedLoads(np.ones((6, 2)))),
+        (OnlineWorkMaximizing(), _Rows(np.ones((6, 2)))),
+        (Late([0.5, 0.5]), PrecomputedLoads(np.ones((6, 2)))),
+    ]
+    match = r"^row 2 \(recording\): an allocation \[0.9 0.9\] at step 4 is negative or sums above 1$"
+    with pytest.raises(InvariantViolation, match=match):
+        run_batch(rows, horizon=6)
 
 
 def test_sla_vector_validation():

@@ -1,4 +1,5 @@
-"""Offline schedulers, the closed-form optimum, and the dual certificates."""
+"""Offline schedulers, the closed-form optimum, and the switch duals that
+certify it."""
 
 from __future__ import annotations
 
@@ -9,19 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slasim import SlaVector
+from slasim import PolicyParams, SlaVector, run_batch
 from slasim.core import DegenerateSlaError, _check_loads
 from slasim.offline import (
-    DualSolution,
-    InfeasibleDualError,
     _numpy_sum,
     _offline_trace,
-    dual_value,
     offline_optimal_value,
     proportional_greedy,
     simple_greedy,
-    switch_dual,
 )
+from slasim.policies import POLICY_TYPES, make_policy
+from slasim.workloads import PrecomputedLoads
+
+from duals import switch_dual_bound
 
 
 def _reference_proportional_greedy(loads, sla, capacity=1.0, stride=1):
@@ -255,68 +256,41 @@ def test_total_work_is_monotone_in_capacity(rng):
     assert np.all(np.diff(totals) >= -1e-12)
 
 
-def test_switch_dual_shape_and_feasibility():
-    loads = np.array([[0.5, 0.5], [0.5, 0.5], [2.0, 0.0]])
-    for s in range(4):
-        dual = switch_dual(s, horizon=3, n_users=2)
-        value = dual_value(dual, loads)  # must not raise
-        assert value >= offline_optimal_value(loads) - 1e-12
-    with pytest.raises(ValueError):
-        switch_dual(4, horizon=3, n_users=2)
-    with pytest.raises(ValueError):
-        switch_dual(-1, horizon=3, n_users=2)
-
-
 def test_min_switch_dual_equals_optimum(rng):
     for _ in range(20):
         n = int(rng.integers(2, 5))
         horizon = int(rng.integers(1, 40))
         loads = rng.uniform(0.0, 2.0 / n, size=(horizon, n))
         eps = float(rng.uniform(0.0, 0.3))
-        values = [
-            dual_value(switch_dual(s, horizon, n), loads, eps=eps)
-            for s in range(horizon + 1)
-        ]
+        values = [switch_dual_bound(loads, s, eps) for s in range(horizon + 1)]
         assert min(values) == pytest.approx(
             offline_optimal_value(loads, eps=eps), abs=1e-9
         )
 
 
-def test_weak_duality_bounds_any_schedule(rng):
-    # Every feasible dual upper-bounds every feasible schedule's work.
-    loads = rng.uniform(0.0, 0.8, size=(30, 2))
-    sla = SlaVector(np.array([0.5, 0.5]))
-    work = proportional_greedy(loads, sla).total_work.sum()
-    for s in (0, 7, 30):
-        assert work <= dual_value(switch_dual(s, 30, 2), loads) + 1e-9
-
-
-def test_infeasible_duals_name_the_violated_constraint():
-    loads = np.ones((2, 2)) * 0.25
-    gamma = np.ones((2, 2))
-    prices = np.zeros(2)
-
-    bad = DualSolution(gamma.copy(), prices.copy())
-    bad.gamma[1, 0] = -0.5
-    with pytest.raises(InfeasibleDualError, match="negative"):
-        dual_value(bad, loads)
-
-    bad = DualSolution(gamma.copy(), np.array([0.0, -1.0]))
-    with pytest.raises(InfeasibleDualError, match=r"price\[t=2\]"):
-        dual_value(bad, loads)
-
-    bad = DualSolution(np.array([[1.0, 1.0], [0.5, 1.0]]), prices.copy())
-    with pytest.raises(InfeasibleDualError, match="falls below 1"):
-        dual_value(bad, loads)
-
-    bad = DualSolution(np.array([[0.0, 1.0], [1.0, 1.0]]), np.ones(2))
-    with pytest.raises(InfeasibleDualError, match="increases over time"):
-        dual_value(bad, loads)
-
-
-def test_dual_value_validates_shapes():
-    loads = np.ones((3, 2))
-    with pytest.raises(ValueError):
-        dual_value(switch_dual(1, 2, 2), loads)
-    with pytest.raises(ValueError):
-        DualSolution(np.ones((3, 2)), np.ones(2))
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    horizon=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    mean=st.sampled_from([0.3, 1.0, 2.0]),
+    epsilon=st.sampled_from([0.02, 0.05, 0.1]),
+)
+def test_weak_duality_bounds_any_schedule(n, horizon, seed, mean, epsilon):
+    # The duality chain for every online type, run as rows of one batch:
+    # work is conserved, work <= optimum, and the optimum is the best
+    # switch dual, whose every value bounds any schedule's work.
+    rng = np.random.default_rng(seed)
+    loads = rng.exponential(mean / n, (horizon, n)) * (rng.random((horizon, n)) < 0.7)
+    beta = rng.uniform(0.01, 1.0, n)
+    sla = SlaVector(beta / beta.sum())
+    params = PolicyParams(n_users=n, epsilon=epsilon, eta=1.0 / 3.0)
+    source = PrecomputedLoads(loads)
+    online = [name for name, spec in POLICY_TYPES.items() if spec.build is not None]
+    traces = run_batch([(make_policy(name, sla, params), source) for name in online], horizon)
+    opt = offline_optimal_value(loads)
+    best = min(switch_dual_bound(loads, s) for s in range(horizon + 1))
+    assert best == pytest.approx(opt, abs=1e-9)
+    for trace in traces:
+        assert trace.conservation_residual() <= 1e-9, trace.policy
+        assert trace.total_work.sum() <= opt + 1e-9, trace.policy
