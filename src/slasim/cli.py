@@ -17,14 +17,15 @@ as epsilon**2 / (8 N) and `validate` echoes it.
 
 parse_config is the one place a config is judged: it also reads a trace_csv
 trace and checks its format, user count and length, so `validate` and `run`
-reject the same configs.  work_difference is a config error under the
-adversary workload, where each policy sees its own loads.  `run` writes
-every policy's cumulative work and queue 2-norm CSVs, one CSV per requested
-metric series, and a `summary` file of key=value lines.  The offline
-policies run in one worker process beside the online batch, so `run` uses
-up to 2 CPUs.  Exit codes: 0 success, 1 config error, 2 runtime failure (a
-broken invariant, or an SLA split with every competing share zero), 3 I/O
-error.
+reject the same configs.  Under the adversary workload, where each policy
+sees its own loads, work_difference is a config error and the stride must
+be 1, so every policy's work is checked against its own offline optimum.
+`run` writes every policy's cumulative work and queue 2-norm CSVs, one CSV
+per requested metric series, and a `summary` file of key=value lines.  The
+offline policies run in one worker process beside the online batch, so
+`run` uses up to 2 CPUs.  Exit codes: 0 success, 1 config error, 2 runtime
+failure (a broken invariant, or an SLA split with every competing share
+zero), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -319,6 +320,11 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
             "metrics work_difference is undefined under the adversary workload "
             "(each policy sees its own loads)"
         )
+    if wl_type == "adversary" and stride is not None and stride != 1:
+        errors.append(
+            "run stride must be 1 under the adversary workload "
+            "(each policy's offline optimum needs all of its loads)"
+        )
 
     out_sec = parser["output"] if parser.has_section("output") else {}
     output_dir = os.environ.get(OUTPUT_DIR_ENV) or out_sec.get("dir", "out")
@@ -483,16 +489,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for pc in online
         ]
         batch = run_batch(rows, cfg.horizon, stride=cfg.stride) if rows else []
-        # Adversary rows each see their own loads, recoverable from an
-        # unthinned trace; every other policy sees the shared loads.
+        # Adversary rows each see their own loads, which their stride-1
+        # traces hold; every other policy sees the shared loads.
         realized = {} if adversary else {pc.name: shared_loads for pc in cfg.policies}
         phases: dict[str, int] = {}
         finished: dict[str, _Finished] = {}
         for pc, trace, (_, source) in zip(online, batch, rows):
             if adversary:
                 phases[pc.name] = len(source.phase_log)
-                if trace.is_full:
-                    realized[pc.name] = trace.load
+                realized[pc.name] = trace.load
             finished[pc.name] = _finish(pc.name, trace, cfg)
         for name, job in jobs.items():
             finished[name] = job.result()
@@ -518,9 +523,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         opt0 = offline.offline_optimal_value(shared_loads, 0.0)
         summary["offline_optimal_eps0"] = opt0
     for pc in cfg.policies:
-        loads_used = realized.get(pc.name)
-        if loads_used is None:
-            continue
+        loads_used = realized[pc.name]
         total = finished[pc.name].totals[f"policy.{pc.name}.total_work"]
         if adversary:
             opt0 = offline.offline_optimal_value(loads_used, 0.0)

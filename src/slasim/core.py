@@ -188,7 +188,6 @@ class SimulationTrace:
     total_load: np.ndarray
     final_queue: np.ndarray
     horizon: int
-    stride: int = 1
 
     @property
     def n_users(self) -> int:
@@ -196,7 +195,8 @@ class SimulationTrace:
 
     @property
     def is_full(self) -> bool:
-        return self.stride == 1 and len(self.steps) == self.horizon
+        """True iff the kept steps are exactly 1..horizon."""
+        return len(self.steps) == self.horizon
 
     def conservation_residual(self) -> float:
         """|total load - total work - final backlog|, relative to total load."""
@@ -264,7 +264,6 @@ class _Recorder:
             total_load=total_load,
             final_queue=final_queue,
             horizon=self.horizon,
-            stride=self.stride,
         )
 
 
@@ -305,10 +304,10 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     matrix-backed source; an adaptive source drives one row only.  Raises
     ValueError for an empty batch, rows that disagree on n_users or share a
     policy or an adaptive source; LoadExhausted if a source cannot supply
-    `horizon` steps; and InvariantViolation, after the loop, for a load or
-    work total that is not finite (NaN or infinite loads, NaN allocations)
-    or an allocation that is negative or sums above 1.  Engine messages
-    name the row and its policy, as in "row 2 (po)".
+    `horizon` steps; and InvariantViolation, after the loop, for a load
+    total that is not finite (a NaN or infinite load) or an allocation that
+    is negative, NaN or sums above 1.  Engine messages name the row and its
+    policy, as in "row 2 (po)", and at stride 1 a bad allocation's step.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -359,21 +358,17 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
             np.maximum(top_sum, alloc_sum, out=top_sum)
             np.minimum(low, alloc, out=low)
 
-    # A NaN or infinite load reaches total_load, and a NaN allocation
-    # reaches the work total through np.minimum, so two checks per row
-    # catch both.  Allocations must be nonnegative and sum to at most 1; a
-    # kept step is named only if no skipped step failed, so it is the first.
-    kept_bad = (rec.alloc.min(axis=2) < 0.0) | (rec.alloc.sum(axis=2) > 1.0 + 1e-12)
-    between_bad = (low.min(axis=1) < 0.0) | (top_sum > 1.0 + 1e-12)
+    # A NaN or infinite load reaches total_load.  The allocation tests are
+    # negated so that NaN, which np.minimum and np.maximum carry into the
+    # running extremes, fails them too.  A kept step is named only if no
+    # skipped step failed, so it is the first.
+    kept_bad = ~(rec.alloc.min(axis=2) >= 0.0) | ~(rec.alloc.sum(axis=2) <= 1.0 + 1e-12)
+    between_bad = ~(low.min(axis=1) >= 0.0) | ~(top_sum <= 1.0 + 1e-12)
     for r in range(b):
         if not np.isfinite(total_load[r]).all():
             raise InvariantViolation(
                 f"row {r} ({names[r]}): total load is not finite "
                 f"(a NaN or infinite load): {total_load[r]}"
-            )
-        if not np.isfinite(cum[r]).all():
-            raise InvariantViolation(
-                f"row {r} ({names[r]}): total work is not finite (a NaN allocation): {cum[r]}"
             )
         if between_bad[r] or kept_bad[:, r].any():
             at = "between the kept steps"
@@ -381,7 +376,7 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
                 j = int(np.argmax(kept_bad[:, r]))
                 at = f"{rec.alloc[j, r]} at step {rec.steps[j]}"
             raise InvariantViolation(
-                f"row {r} ({names[r]}): an allocation {at} is negative or sums above 1"
+                f"row {r} ({names[r]}): an allocation {at} is negative, NaN or sums above 1"
             )
     return [rec.trace(r, names[r], cum[r], total_load[r], queue[r]) for r in range(b)]
 

@@ -121,38 +121,23 @@ class MultiplicativeWeights(_SlaPolicy):
     def _check_lemmas(
         self, h: np.ndarray, h_new: np.ndarray, active: np.ndarray, under: np.ndarray
     ) -> None:
-        t = self._t
+        def bound(users: np.ndarray, lower: np.ndarray, what: str) -> None:
+            if (users & (h_new < lower - LEMMA_SLACK)).any():
+                raise LemmaViolation(f"step {self._t}: {what}")
+
+        eps = self.params.epsilon
         usage = float(h[active].sum())
-        if usage <= 1.0 - self.params.epsilon:
-            if (active & (h_new < (1.0 + self._growth) * h - LEMMA_SLACK)).any():
-                raise LemmaViolation(
-                    f"step {t}: active user allocation grew less than the "
-                    f"(1 + eps*eta/4N) factor at low usage"
-                )
+        if usage <= 1.0 - eps:
+            what = "active user allocation grew less than the (1 + eps*eta/4N) factor at low usage"
+            bound(active, (1.0 + self._growth) * h, what)
         if not self.proportional:
-            if (under & (h_new < h - LEMMA_SLACK)).any():
-                raise LemmaViolation(
-                    f"step {t}: underserved allocation decreased"
-                )
-            shrink = 1.0 - self.params.epsilon * self._growth
-            if (active & ~under & (h_new < shrink * h - LEMMA_SLACK)).any():
-                raise LemmaViolation(
-                    f"step {t}: served active allocation shrank below the "
-                    f"(1 - eps*c) factor"
-                )
-            if self._floor_ok:
-                if (under & (h_new < (1.0 + self._boost_growth) * h - LEMMA_SLACK)).any():
-                    raise LemmaViolation(
-                        f"step {t}: underserved allocation grew less than the "
-                        f"(1 + c') boost factor"
-                    )
-        else:
-            if usage > 1.0 - self.params.epsilon:
-                if (under & (h_new < (1.0 + self._boost_growth) * h - LEMMA_SLACK)).any():
-                    raise LemmaViolation(
-                        f"step {t}: underserved allocation grew less than the "
-                        f"(1 + c') boost factor at high usage"
-                    )
+            bound(under, h, "underserved allocation decreased")
+            what = "served active allocation shrank below the (1 - eps*c) factor"
+            bound(active & ~under, (1.0 - eps * self._growth) * h, what)
+        if (usage > 1.0 - eps) if self.proportional else self._floor_ok:
+            what = "underserved allocation grew less than the (1 + c') boost factor"
+            at = " at high usage" if self.proportional else ""
+            bound(under, (1.0 + self._boost_growth) * h, what + at)
 
 
 class StaticSla(_SlaPolicy):

@@ -41,6 +41,12 @@ dir = {out}
 """
 
 
+ADVERSARY_STRIDE = (
+    "run stride must be 1 under the adversary workload "
+    "(each policy's offline optimum needs all of its loads)"
+)
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -351,6 +357,14 @@ def _scheduled(schedule: str) -> str:
             "metrics work_difference is undefined under the adversary workload",
             id="adversary-work_difference",
         ),
+        # Each policy's work is checked against the optimum of its own loads,
+        # which only a stride-1 trace holds.
+        pytest.param(
+            "[workload]\ntype = adversary\nhorizon = 100\nsla = 0.5, 0.5\n\n"
+            "[run]\nstride = 7\n\n[policy p]\ntype = po\n",
+            ADVERSARY_STRIDE,
+            id="adversary-stride",
+        ),
     ],
 )
 def test_validate_reports_errors_and_exits_one(tmp_path, capsys, text, key):
@@ -524,31 +538,44 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
-def test_run_adversary_summary_reports_gap(tmp_path):
+ADVERSARY_CFG = Path(__file__).resolve().parents[1] / "configs" / "adversary.cfg"
+
+
+def _bundled_adversary(out, run_keys: str) -> str:
+    """configs/adversary.cfg with extra [run] keys and its output in out."""
+    text = ADVERSARY_CFG.read_text().replace("[run]\n", f"[run]\n{run_keys}")
+    return text.replace("dir = out/adversary", f"dir = {out}")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_adversary_stride_is_a_config_error_for_validate_and_run(tmp_path, capsys, command):
+    # At stride 7 the rows' traces would not hold their loads, and run used
+    # to skip the work <= optimum check and its summary keys.
     out = tmp_path / "out"
-    text = f"""\
-[workload]
-type = adversary
-horizon = 400
-sla = 0.5, 0.5
+    path = _write(tmp_path, _bundled_adversary(out, "stride = 7\n"))
+    code = cli.main([command, path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {ADVERSARY_STRIDE}\n"
+    assert "ok:" not in captured.out
+    assert not out.exists()
 
-[run]
-profile = release
 
-[policy owm]
-type = owm
-
-[output]
-dir = {out}
-"""
-    path = _write(tmp_path, text)
-    assert cli.main(["run", path]) == 0
+def test_run_adversary_summary_reports_gap(tmp_path):
+    # Every policy of the bundled config, run at stride 1, is compared with
+    # the optimum of its own loads.
+    out = tmp_path / "out"
+    text = _bundled_adversary(out, "stride = 1\n").replace("horizon = 10000", "horizon = 400")
+    assert cli.main(["run", _write(tmp_path, text)]) == 0
     summary = _read_summary(out)
-    assert float(summary["policy.owm.offline_optimal_eps0"]) == pytest.approx(400.0)
-    gap = float(summary["policy.owm.offline_gap"])
-    assert gap == pytest.approx(float(summary["policy.owm.final_queue_l1"]), abs=1e-9)
-    assert gap >= np.sqrt(400.0 / 40.0)
-    assert int(summary["policy.owm.adversary_phases"]) > 0
+    for name in ("alg1", "owm", "po"):
+        prefix = f"policy.{name}"
+        assert float(summary[f"{prefix}.offline_optimal_eps0"]) == pytest.approx(400.0)
+        gap = float(summary[f"{prefix}.offline_gap"])
+        assert gap == pytest.approx(float(summary[f"{prefix}.final_queue_l1"]), abs=1e-9)
+        assert gap >= np.sqrt(400.0 / 40.0)
+        assert int(summary[f"{prefix}.adversary_phases"]) > 0
+    assert "policy.alg1.offline_optimal_rest" in summary
 
 
 DEMO_TRACE = Path(__file__).resolve().parents[1] / "data" / "demo_trace.csv"

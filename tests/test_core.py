@@ -72,8 +72,13 @@ def _reference_run(policy, source, horizon, stride=1):
             raise InvariantViolation(
                 f"total load is not finite (a NaN or infinite load): {total_load}"
             )
-        if not np.isfinite(cum).all():
-            raise InvariantViolation(f"total work is not finite (a NaN allocation): {cum}")
+        allocs = [row[0] for row in kept]
+        bad = [s for s, a in enumerate(allocs, 1) if not (a.min() >= 0.0 and a.sum() <= 1 + 1e-12)]
+        if bad:
+            # A failing step the trace does not keep is named by no step.
+            skipped = [s for s in bad if s % stride and s != horizon]
+            at = "between the kept steps" if skipped else f"{allocs[bad[0] - 1]} at step {bad[0]}"
+            raise InvariantViolation(f"an allocation {at} is negative, NaN or sums above 1")
     except Exception as exc:
         exc.step = t
         raise
@@ -96,7 +101,6 @@ def _reference_run(policy, source, horizon, stride=1):
         total_load=total_load,
         final_queue=queue,
         horizon=horizon,
-        stride=stride,
     )
 
 
@@ -170,15 +174,22 @@ def test_run_rejects_a_nan_load():
 
 def test_run_rejects_a_nan_allocation():
     source = PrecomputedLoads(np.full((3, 2), 0.5))
-    with pytest.raises(InvariantViolation, match="total work is not finite"):
+    match = (
+        r"^row 0 \(recording\): an allocation \[nan 0\.5\] at step 1 "
+        r"is negative, NaN or sums above 1$"
+    )
+    with pytest.raises(InvariantViolation, match=match):
         run(_Recording([np.nan, 0.5]), source, horizon=3)
 
 
-@pytest.mark.parametrize("alloc", [(0.9, 0.9), (-0.1, 0.5), (np.inf, 0.0)])
+@pytest.mark.parametrize(
+    "alloc", [(0.9, 0.9), (-0.1, 0.5), (np.inf, 0.0), (-np.inf, 0.5), (np.nan, 0.5)]
+)
 @pytest.mark.parametrize("stride", [1, 7])
 def test_run_rejects_an_over_capacity_allocation(alloc, stride):
     # Fails without the check: (0.9, 0.9) completed 1.8 units of work per
-    # step.  At stride 7 steps 1-6 are not kept, so no step is named.
+    # step, and (-inf, 0.5) was reported as a NaN work total.  At stride 7
+    # steps 1-6 are not kept, so no step is named.
     source = PrecomputedLoads(np.ones((10, 2)))
     where = "at step 1 " if stride == 1 else "between the kept steps"
     with pytest.raises(InvariantViolation, match=rf"^row 0 \(recording\): .*{where}"):
@@ -270,6 +281,11 @@ def test_stride_thinning_keeps_final_step_and_aggregates(schedule):
     rows = thin.steps - 1
     for field in ("alloc", "work", "queue", "load", "cum_work"):
         assert np.array_equal(getattr(thin, field), getattr(full, field)[rows]), field
+
+
+def test_a_one_step_run_is_full_at_any_stride():
+    trace = run(StaticSla(_THIN_SLA), PrecomputedLoads(np.ones((1, 3))), horizon=1, stride=7)
+    assert np.array_equal(trace.steps, [1]) and trace.is_full
 
 
 @pytest.mark.parametrize(
@@ -456,7 +472,10 @@ def test_run_batch_capacity_violation_names_the_row_and_first_step():
         (OnlineWorkMaximizing(), _Rows(np.ones((6, 2)))),
         (Late([0.5, 0.5]), PrecomputedLoads(np.ones((6, 2)))),
     ]
-    match = r"^row 2 \(recording\): an allocation \[0.9 0.9\] at step 4 is negative or sums above 1$"
+    match = (
+        r"^row 2 \(recording\): an allocation \[0\.9 0\.9\] at step 4 "
+        r"is negative, NaN or sums above 1$"
+    )
     with pytest.raises(InvariantViolation, match=match):
         run_batch(rows, horizon=6)
 

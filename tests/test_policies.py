@@ -4,6 +4,8 @@ guarantees."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -254,43 +256,77 @@ def test_monitored_run_raises_no_violations(proportional):
     assert trace.conservation_residual() < 1e-9
 
 
+def _monitored(sla, proportional: bool = False) -> MultiplicativeWeights:
+    """A monitored two-user policy whose checks report step 1, as in the
+    first decide."""
+    policy = MultiplicativeWeights(
+        SlaVector(np.array(sla)), _params(2), proportional=proportional, monitor_lemmas=True
+    )
+    policy.reset(2)
+    policy._t = 1
+    return policy
+
+
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 def test_low_usage_growth_bound_triggers_when_violated():
     # Feed the monitor a poisoned update by hand: allocations that shrink
     # on an active user at low usage must raise.
-    sla = SlaVector(np.array([0.5, 0.5]))
-    policy = MultiplicativeWeights(sla, _params(2), monitor_lemmas=True)
-    policy.reset(2)
+    policy = _monitored([0.5, 0.5])
     h = np.array([0.05, 0.95])
     bad = np.array([0.04, 0.96])  # active user 0 shrank
-    with pytest.raises(Exception, match="grew less"):
+    message = (
+        "step 1: active user allocation grew less than the (1 + eps*eta/4N) factor at low usage"
+    )
+    with pytest.raises(LemmaViolation, match=_exactly(message)):
         policy._check_lemmas(h, bad, np.array([True, False]), np.array([False, False]))
 
 
 _USER0 = np.array([True, False])
+_BOOST = "step 1: underserved allocation grew less than the (1 + c') boost factor"
 
 
 @pytest.mark.parametrize(
     "proportional, h_new, message",
     [
-        pytest.param(False, [0.29, 0.71], "underserved allocation decreased", id="under-shrank"),
-        pytest.param(False, [0.32, 0.68], "served active allocation shrank", id="served-shrank"),
-        pytest.param(False, [0.3, 0.7], r"\(1 \+ c'\) boost factor$", id="basic-boost"),
-        pytest.param(True, [0.3, 0.7], r"boost factor at high usage$", id="prop-boost"),
+        pytest.param(
+            False, [0.29, 0.71], "step 1: underserved allocation decreased", id="under-shrank"
+        ),
+        pytest.param(
+            False,
+            [0.32, 0.68],
+            "step 1: served active allocation shrank below the (1 - eps*c) factor",
+            id="served-shrank",
+        ),
+        pytest.param(False, [0.3, 0.7], _BOOST, id="basic-boost"),
+        pytest.param(True, [0.3, 0.7], _BOOST + " at high usage", id="prop-boost"),
     ],
 )
 def test_each_monitor_trips_on_a_poisoned_update(proportional, h_new, message):
     # Two users with SLA (0.5, 0.5) move from h = (0.3, 0.7) to a hand-poisoned
     # h_new.  Both are active and user 0 is underserved, so usage is 1 > 1 - eps
     # and the low-usage monitor stays quiet; each case breaks one other monitor.
-    sla = SlaVector(np.array([0.5, 0.5]))
-    policy = MultiplicativeWeights(
-        sla, _params(2), proportional=proportional, monitor_lemmas=True
-    )
+    policy = _monitored([0.5, 0.5], proportional)
     assert policy._floor_ok  # shares 0.5 clear the 2*eps/N floor
-    policy.reset(2)
     h = np.array([0.3, 0.7])
-    with pytest.raises(LemmaViolation, match=message):
+    with pytest.raises(LemmaViolation, match=_exactly(message)):
         policy._check_lemmas(h, np.array(h_new), np.array([True, True]), _USER0)
+
+
+def test_basic_boost_bound_is_not_checked_below_the_share_floor():
+    # SLA (0.01, 0.99) at eps = 0.05: share 0.01 is below 2*eps/N = 0.05.  An
+    # update that leaves h = (0.005, 0.995) unchanged, both users active and
+    # user 0 underserved, breaks only the boost bound.  mw skips that bound
+    # below the floor; mw_prop checks it whenever usage exceeds 1 - eps.
+    h = np.array([0.005, 0.995])
+    both = np.array([True, True])
+    policy = _monitored([0.01, 0.99])
+    assert not policy._floor_ok
+    policy._check_lemmas(h, h.copy(), both, _USER0)
+    with pytest.raises(LemmaViolation, match=_exactly(_BOOST + " at high usage")):
+        _monitored([0.01, 0.99], proportional=True)._check_lemmas(h, h.copy(), both, _USER0)
 
 
 def test_monitor_slack_is_absolute():
