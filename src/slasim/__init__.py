@@ -18,7 +18,7 @@ from slasim.core import (
     run,
     run_batch,
 )
-from slasim.projection import kl_divergence, project_truncated_simplex
+from slasim.projection import project_truncated_simplex
 
 __all__ = [
     "InvariantViolation",
@@ -29,7 +29,6 @@ __all__ = [
     "SlaVector",
     "run",
     "run_batch",
-    "kl_divergence",
     "project_truncated_simplex",
 ]
 

@@ -21,11 +21,17 @@ reject the same configs.  Under the adversary workload, where each policy
 sees its own loads, work_difference is a config error and the stride must
 be 1, so every policy's work is checked against its own offline optimum.
 `run` writes every policy's cumulative work and queue 2-norm CSVs, one CSV
-per requested metric series, and a `summary` file of key=value lines.  The
-offline policies run in one worker process beside the online batch, so
-`run` uses up to 2 CPUs.  Exit codes: 0 success, 1 config error, 2 runtime
-failure (a broken invariant, or an SLA split with every competing share
-zero), 3 I/O error.
+per requested metric series, and a `summary` file of key=value lines.
+
+`run` uses up to 2 CPUs: one worker process runs group 1 of the policies
+while this process runs group 0.  _split_rows forms the groups statically,
+longest first over the POLICY_TYPES weights (mw and mw_prop 15,
+simple_greedy 11, pg, po and owm 10, static 4).  Rows are independent, so
+any split writes the same bytes.  A config of one policy starts no worker,
+an error in group 0 is reported before one in group 1, and the benchmark's
+tracer sees only this process, so traced runs miss the worker group's spans.
+Exit codes: 0 success, 1 config error, 2 runtime failure (a broken
+invariant, or an SLA split with every competing share zero), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -49,10 +55,7 @@ from slasim.core import (
     SimulationTrace,
     SlaVector,
     run_batch,
-    # run_experiment batches its online policies and no longer calls this
-    # name; it stays bound to the single-policy run because perfbench looks
-    # it up to trace runs by policy.
-    run as run_simulation,  # noqa: F401
+    run as run_simulation,  # noqa: F401  (unused here; perfbench traces runs by this name)
 )
 
 OUTPUT_DIR_ENV = "SLASIM_OUTPUT_DIR"
@@ -402,17 +405,22 @@ def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
 
 class _Finished(NamedTuple):
     """One policy's summary entries, by the part of the summary they sit in,
-    and its cumulative work if a work difference names the policy."""
+    its cumulative work if a work difference names the policy, and its
+    adversary phases and offline optima."""
 
     totals: dict
     norms: dict
     window: dict
     cumulative: Optional[metrics_mod.SeriesReport]
+    phases: Optional[int]  # adversary rows
+    optimum_eps0: Optional[float]  # adversary rows: of the row's own loads
+    optimum_rest: Optional[float]  # mw and mw_prop rows: at the policy's epsilon
 
 
-def _finish(name: str, trace: SimulationTrace, cfg: ExperimentConfig) -> _Finished:
+def _finish(pc: PolicyConfig, trace: SimulationTrace, loads, phases, cfg) -> _Finished:
     """Write one policy's CSVs, and its SLA window CSV if it is the window
     target, and return what the summary and the work differences need."""
+    name = pc.name
     prefix = f"policy.{name}"
     totals = {
         f"{prefix}.total_work": float(trace.total_work.sum()),
@@ -445,64 +453,63 @@ def _finish(name: str, trace: SimulationTrace, cfg: ExperimentConfig) -> _Finish
     # out keeps them from being held or sent back from the worker.
     if not any(name in pair for pair in cfg.work_difference):
         cumulative = None
-    return _Finished(totals, norms, window, cumulative)
+    rest = None if pc.params is None else offline.offline_optimal_value(loads, pc.params.epsilon)
+    eps0 = None if phases is None else offline.offline_optimal_value(loads, 0.0)
+    return _Finished(totals, norms, window, cumulative, phases, eps0, rest)
 
 
-def _run_offline(pc: PolicyConfig, loads: np.ndarray, cfg: ExperimentConfig) -> _Finished:
-    """Worker job: replay one offline policy on the loads and finish it where
-    its trace lives, so its per-step arrays never leave the worker."""
-    if pc.type == "pg":
-        trace = offline.proportional_greedy(loads, cfg.sla, pc.capacity, stride=cfg.stride)
-    else:
-        trace = offline.simple_greedy(loads, pc.capacity, stride=cfg.stride)
-    return _finish(pc.name, trace, cfg)
+def _split_rows(pcs: list[PolicyConfig]) -> tuple[list, list]:
+    """The rows as two groups, each in config order.  Longest first: each
+    row, by falling POLICY_TYPES weight (config order among equals), joins
+    the group of smaller total weight, group 0 on a tie."""
+    group, totals = {}, [0, 0]
+    for pc in sorted(pcs, key=lambda pc: -policies.POLICY_TYPES[pc.type].weight):
+        g = group[pc.name] = int(totals[1] < totals[0])
+        totals[g] += policies.POLICY_TYPES[pc.type].weight
+    return tuple([pc for pc in pcs if group[pc.name] == g] for g in (0, 1))
+
+
+def _run_group(pcs: list[PolicyConfig], source, cfg: ExperimentConfig) -> dict[str, _Finished]:
+    """Run a group of rows, the online ones as one lockstep batch and each
+    offline one as a replay of the shared loads, and finish each row where
+    its trace lives, so no per-step array leaves the process.  Under the
+    adversary (no shared source) each online row gets its own adversary."""
+    adversary = source is None
+    shared = None if adversary else source.matrix[: cfg.horizon]
+    types = policies.POLICY_TYPES
+    online = [pc for pc in pcs if types[pc.type].build is not None]
+    built = [types[pc.type].build(cfg.sla, pc.params, cfg.assert_lemmas) for pc in online]
+    sources = [workloads.QueueAdversary() if adversary else source for _ in online]
+    traces = run_batch(zip(built, sources), cfg.horizon, stride=cfg.stride) if online else []
+    finished = {}
+    for pc, trace, row_source in zip(online, traces, sources):
+        # An adversary run has stride 1, so its trace holds all its loads.
+        own = (trace.load, len(row_source.phase_log)) if adversary else (shared, None)
+        finished[pc.name] = _finish(pc, trace, *own, cfg)
+    for pc in pcs:
+        if types[pc.type].replay is not None:
+            trace = types[pc.type].replay(shared, cfg.sla, pc.capacity, cfg.stride)
+            finished[pc.name] = _finish(pc, trace, shared, None, cfg)
+    return finished
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run every configured policy, write CSVs and the summary file.
-
-    Offline replays depend only on the loads, so they run in one worker
-    process while this process steps the online policies."""
+    """Run every configured policy, write CSVs and the summary file; a worker
+    process runs group 1 of _split_rows while this process runs group 0."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    shared_source = _build_source(cfg)
-    shared_loads = shared_source.matrix[: cfg.horizon] if shared_source is not None else None
-    adversary = cfg.workload_type == "adversary"
-    online = [pc for pc in cfg.policies if policies.POLICY_TYPES[pc.type].build is not None]
-    offline_pcs = [pc for pc in cfg.policies if policies.POLICY_TYPES[pc.type].build is None]
-
-    pool = None
-    if offline_pcs:
-        # Imported here: a config without offline policies never loads
-        # multiprocessing.
+    source = _build_source(cfg)
+    here, there = _split_rows(cfg.policies)
+    if not there:
+        finished = _run_group(here, source, cfg)
+    else:
+        # Imported here: a config of one policy never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-
         pool = ProcessPoolExecutor(max_workers=1)
-    try:
-        jobs = {pc.name: pool.submit(_run_offline, pc, shared_loads, cfg) for pc in offline_pcs}
-        # Every online policy runs as one row of a single lockstep batch, in
-        # config order; each adversary row gets its own QueueAdversary.
-        rows = [
-            (
-                policies.POLICY_TYPES[pc.type].build(cfg.sla, pc.params, cfg.assert_lemmas),
-                workloads.QueueAdversary() if adversary else shared_source,
-            )
-            for pc in online
-        ]
-        batch = run_batch(rows, cfg.horizon, stride=cfg.stride) if rows else []
-        # Adversary rows each see their own loads, which their stride-1
-        # traces hold; every other policy sees the shared loads.
-        realized = {} if adversary else {pc.name: shared_loads for pc in cfg.policies}
-        phases: dict[str, int] = {}
-        finished: dict[str, _Finished] = {}
-        for pc, trace, (_, source) in zip(online, batch, rows):
-            if adversary:
-                phases[pc.name] = len(source.phase_log)
-                realized[pc.name] = trace.load
-            finished[pc.name] = _finish(pc.name, trace, cfg)
-        for name, job in jobs.items():
-            finished[name] = job.result()
-    finally:
-        if pool is not None:
+        try:
+            job = pool.submit(_run_group, there, source, cfg)
+            finished = _run_group(here, source, cfg)
+            finished.update(job.result())
+        finally:
             pool.shutdown(cancel_futures=True)
 
     summary: dict[str, object] = {
@@ -512,27 +519,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
     }
     for pc in cfg.policies:
-        if pc.name in phases:
-            summary[f"policy.{pc.name}.adversary_phases"] = phases[pc.name]
+        done = finished[pc.name]
+        if done.phases is not None:
+            summary[f"policy.{pc.name}.adversary_phases"] = done.phases
         summary[f"policy.{pc.name}.type"] = pc.type
-        summary.update(finished[pc.name].totals)
+        summary.update(done.totals)
 
-    # The eps=0 optimum is computed once for the shared loads and once per
-    # row under the adversary, where each row has its own loads.
-    if shared_loads is not None:
-        opt0 = offline.offline_optimal_value(shared_loads, 0.0)
+    # Under the adversary each row's group computed its own eps=0 optimum.
+    if source is not None:
+        opt0 = offline.offline_optimal_value(source.matrix[: cfg.horizon], 0.0)
         summary["offline_optimal_eps0"] = opt0
     for pc in cfg.policies:
-        loads_used = realized[pc.name]
-        total = finished[pc.name].totals[f"policy.{pc.name}.total_work"]
-        if adversary:
-            opt0 = offline.offline_optimal_value(loads_used, 0.0)
+        done = finished[pc.name]
+        total = done.totals[f"policy.{pc.name}.total_work"]
+        if done.optimum_eps0 is not None:
+            opt0 = done.optimum_eps0
             summary[f"policy.{pc.name}.offline_optimal_eps0"] = opt0
             summary[f"policy.{pc.name}.offline_gap"] = opt0 - total
-        if pc.params is not None:
-            summary[f"policy.{pc.name}.offline_optimal_rest"] = (
-                offline.offline_optimal_value(loads_used, pc.params.epsilon)
-            )
+        if done.optimum_rest is not None:
+            summary[f"policy.{pc.name}.offline_optimal_rest"] = done.optimum_rest
         if total > opt0 + WORK_CAP_SLACK:
             raise InvariantViolation(
                 f"policy {pc.name} reports {total} work, above the offline optimum {opt0}"

@@ -305,9 +305,10 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     ValueError for an empty batch, rows that disagree on n_users or share a
     policy or an adaptive source; LoadExhausted if a source cannot supply
     `horizon` steps; and InvariantViolation, after the loop, for a load
-    total that is not finite (a NaN or infinite load) or an allocation that
-    is negative, NaN or sums above 1.  Engine messages name the row and its
-    policy, as in "row 2 (po)", and at stride 1 a bad allocation's step.
+    total that is not finite (a NaN or infinite load), a negative load from
+    a source without a load matrix, or an allocation that is negative, NaN
+    or sums above 1.  Engine messages name the row and its policy, as in
+    "row 2 (po)", and at stride 1 the step of a bad load or allocation.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -333,10 +334,11 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     total_load = np.zeros((b, n))
     alloc = np.empty((b, n))
     load = np.empty((b, n))
-    # Running extremes of the allocations at the steps the recorder skips.
+    # Running extremes at the steps the recorder skips; loads only if it keeps them.
     alloc_sum = np.empty(b)
     top_sum = np.full(b, -np.inf)
     low = np.full((b, n), np.inf)
+    low_load = None if rec.load is None else np.full((b, n), np.inf)
     for t in range(1, horizon + 1):
         active = queue > EMPTY_TOLERANCE
         for r, decide, next_load in steppers:
@@ -357,27 +359,37 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
             np.add.reduce(alloc, axis=1, out=alloc_sum)
             np.maximum(top_sum, alloc_sum, out=top_sum)
             np.minimum(low, alloc, out=low)
+            if low_load is not None:
+                np.minimum(low_load, load, out=low_load)
 
-    # A NaN or infinite load reaches total_load.  The allocation tests are
+    # A NaN or infinite load reaches total_load.  The other tests are
     # negated so that NaN, which np.minimum and np.maximum carry into the
-    # running extremes, fails them too.  A kept step is named only if no
+    # running extremes, fails them too.  Each is (what, kept rows, bad kept
+    # steps, bad skipped steps, how), in the order a row reports them.
+    # Loads are kept, and so tested, only if some row has no load matrix (a
+    # matrix is checked when it is built).  A kept step is named only if no
     # skipped step failed, so it is the first.
+    checks = []
+    if rec.load is not None:
+        kept_bad = ~(rec.load.min(axis=2) >= 0.0)
+        checks.append(("a load", rec.load, kept_bad, ~(low_load.min(axis=1) >= 0.0), "is negative"))
     kept_bad = ~(rec.alloc.min(axis=2) >= 0.0) | ~(rec.alloc.sum(axis=2) <= 1.0 + 1e-12)
     between_bad = ~(low.min(axis=1) >= 0.0) | ~(top_sum <= 1.0 + 1e-12)
+    how = "is negative, NaN or sums above 1"
+    checks.append(("an allocation", rec.alloc, kept_bad, between_bad, how))
     for r in range(b):
         if not np.isfinite(total_load[r]).all():
             raise InvariantViolation(
                 f"row {r} ({names[r]}): total load is not finite "
                 f"(a NaN or infinite load): {total_load[r]}"
             )
-        if between_bad[r] or kept_bad[:, r].any():
-            at = "between the kept steps"
-            if not between_bad[r]:
-                j = int(np.argmax(kept_bad[:, r]))
-                at = f"{rec.alloc[j, r]} at step {rec.steps[j]}"
-            raise InvariantViolation(
-                f"row {r} ({names[r]}): an allocation {at} is negative, NaN or sums above 1"
-            )
+        for what, kept, kept_bad, between_bad, how in checks:
+            if between_bad[r] or kept_bad[:, r].any():
+                at = "between the kept steps"
+                if not between_bad[r]:
+                    j = int(np.argmax(kept_bad[:, r]))
+                    at = f"{kept[j, r]} at step {rec.steps[j]}"
+                raise InvariantViolation(f"row {r} ({names[r]}): {what} {at} {how}")
     return [rec.trace(r, names[r], cum[r], total_load[r], queue[r]) for r in range(b)]
 
 

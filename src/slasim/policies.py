@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from slasim import offline
 from slasim.core import DegenerateSlaError, LemmaViolation, PolicyParams, SlaVector
 from slasim.projection import project_truncated_simplex
 
@@ -199,25 +200,27 @@ class OnlineWorkMaximizing:
 
 class PolicyType(NamedTuple):
     keys: tuple  # config keys the type reads besides type
-    build: Optional[Callable]  # (sla, params, monitor_lemmas) -> policy; None if offline
+    weight: int  # relative cost of one row per step, for the CLI's split of the rows
+    build: Optional[Callable] = None  # online: (sla, params, monitor_lemmas) -> policy
+    replay: Optional[Callable] = None  # offline: (loads, sla, capacity, stride) -> trace
+
+
+def _mw(proportional: bool) -> Callable:
+    return lambda sla, params, monitor: MultiplicativeWeights(sla, params, proportional, monitor)
 
 
 # Every policy type a config can name, in the order error messages list
 # them.  mw and mw_prop need both of their keys; capacity defaults to 1.
 POLICY_TYPES = {
-    "mw": PolicyType(
-        ("epsilon", "eta"),
-        lambda sla, params, monitor: MultiplicativeWeights(sla, params, False, monitor),
+    "mw": PolicyType(("epsilon", "eta"), 15, _mw(False)),
+    "mw_prop": PolicyType(("epsilon", "eta"), 15, _mw(True)),
+    "static": PolicyType((), 4, lambda sla, params, monitor: StaticSla(sla)),
+    "po": PolicyType((), 10, lambda sla, params, monitor: OnlineProportional(sla)),
+    "owm": PolicyType((), 10, lambda sla, params, monitor: OnlineWorkMaximizing()),
+    "pg": PolicyType(("capacity",), 10, replay=lambda *args: offline.proportional_greedy(*args)),
+    "simple_greedy": PolicyType(
+        ("capacity",), 11, replay=lambda loads, sla, *rest: offline.simple_greedy(loads, *rest)
     ),
-    "mw_prop": PolicyType(
-        ("epsilon", "eta"),
-        lambda sla, params, monitor: MultiplicativeWeights(sla, params, True, monitor),
-    ),
-    "static": PolicyType((), lambda sla, params, monitor: StaticSla(sla)),
-    "po": PolicyType((), lambda sla, params, monitor: OnlineProportional(sla)),
-    "owm": PolicyType((), lambda sla, params, monitor: OnlineWorkMaximizing()),
-    "pg": PolicyType(("capacity",), None),
-    "simple_greedy": PolicyType(("capacity",), None),
 }
 
 

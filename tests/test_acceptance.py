@@ -22,7 +22,6 @@ from scipy.optimize import minimize
 from slasim import (
     PolicyParams,
     SlaVector,
-    kl_divergence,
     project_truncated_simplex,
     run,
     run_batch,
@@ -42,6 +41,7 @@ from slasim.workloads import (
 )
 
 from duals import switch_dual_bound
+from entropy import kl_divergence
 
 FUZZ_RUNS = 50
 FUZZ_HORIZON = 10_000

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -752,30 +753,44 @@ def test_bundled_configs_validate():
         assert cfg is not None
 
 
-@pytest.mark.parametrize(
-    "ptype, message",
-    [
-        # po decides in this process; pg runs in the offline worker, whose
-        # exception must arrive here with its type.
-        ("po", "every active user has a zero SLA share; proportional split undefined"),
-        ("pg", "all backlogged users have zero SLA share; proportional split undefined"),
-    ],
-    ids=["po", "pg"],
-)
-def test_degenerate_sla_split_exits_two(tmp_path, capsys, ptype, message):
+PO_SPLIT = "every active user has a zero SLA share; proportional split undefined"
+PG_SPLIT = "all backlogged users have zero SLA share; proportional split undefined"
+DEGENERATE_ROWS = {
+    "po": "[policy p]\ntype = po\n",
+    "pg": "[policy p]\ntype = pg\n",
+    # One row in each group: po fails in the worker beside a healthy row.
+    "po-in-worker": "[policy m]\ntype = mw\nepsilon = 0.05\neta = 0.3\n[policy p]\ntype = po\n",
+    # Both groups fail: the error of group 0, the main process's, wins.
+    "both-groups": "[policy p]\ntype = po\n[policy g]\ntype = pg\n",
+}
+
+
+@pytest.mark.parametrize("rows", list(DEGENERATE_ROWS), ids=list(DEGENERATE_ROWS))
+def test_degenerate_sla_split_exits_two(tmp_path, capsys, rows):
+    # A worker's exception must arrive here with its type and message.
     text = f"""\
 [workload]
 type = bernoulli_gamma
 horizon = 60
 sla = 1.0, 0.0
 
-[policy p]
-type = {ptype}
+[run]
+profile = release
 
+{DEGENERATE_ROWS[rows]}
 [output]
 dir = {tmp_path / "out"}
 """
     path = _write(tmp_path, text)
+    cfg, errors, _ = cli.parse_config(path)
+    assert errors == []
+    here, there = cli._split_rows(cfg.policies)
+    if rows == "po-in-worker":
+        assert [pc.name for pc in there] == ["p"]
+    if rows == "both-groups":
+        assert len(here) == len(there) == 1
+    failing = next(pc for pc in here + there if pc.type in ("po", "pg"))
+    message = PO_SPLIT if failing.type == "po" else PG_SPLIT
     code = cli.main(["run", path])
     assert code == 2
     assert capsys.readouterr().err == f"runtime error: {message}\n"
@@ -872,29 +887,129 @@ def test_worker_write_failure_exits_three(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_offline_job_runs_in_a_spawned_worker(tmp_path):
+def _same_finished(got: cli._Finished, want: cli._Finished) -> None:
+    assert got._replace(cumulative=None) == want._replace(cumulative=None)
+    assert (got.cumulative is None) == (want.cumulative is None)
+    if want.cumulative is not None:
+        for name in ("steps", "values"):
+            assert np.array_equal(getattr(got.cumulative, name), getattr(want.cumulative, name))
+        got_meta, want_meta = dict(got.cumulative.metadata), dict(want.cumulative.metadata)
+        assert np.array_equal(got_meta.pop("total_load"), want_meta.pop("total_load"))
+        assert got_meta == want_meta
+
+
+def _group_configs(tmp_path):
+    """A mixed online/offline config (two rows of each kind, a window and
+    work differences) and the bundled adversary config, both at horizon 400."""
+    mixed = WORKER.format(stride=1, window="sla_window = m\ntau = 50\n", out=tmp_path / "mixed")
+    mixed += "\n[policy o]\ntype = owm\n"
+    adversary = _bundled_adversary(tmp_path / "adv", "").replace("horizon = 10000", "horizon = 400")
+    cfgs = {}
+    for name, text in (("mixed", mixed), ("adversary", adversary)):
+        cfg, errors, _ = cli.parse_config(_write(tmp_path, text, f"{name}.cfg"))
+        assert errors == []
+        cfgs[name] = cfg
+    return cfgs
+
+
+@pytest.mark.parametrize("case", ["mixed", "adversary"])
+def test_every_split_of_the_rows_gives_the_same_outputs(tmp_path, case):
+    # Rows are independent, so running any two-way partition of them as two
+    # groups writes the bytes and returns the entries of one group of all.
+    cfg = _group_configs(tmp_path)[case]
+    source = cli._build_source(cfg)
+    cfg.output_dir = str(tmp_path / "whole")
+    os.makedirs(cfg.output_dir)
+    whole = cli._run_group(cfg.policies, source, cfg)
+    files = {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()}
+    first, *rest = cfg.policies
+    for mask in range(2 ** len(rest)):
+        one = [first] + [pc for k, pc in enumerate(rest) if mask >> k & 1]
+        other = [pc for pc in cfg.policies if pc not in one]
+        cfg.output_dir = str(tmp_path / f"split{mask}")
+        os.makedirs(cfg.output_dir)
+        parts = cli._run_group(one, source, cfg)
+        parts.update(cli._run_group(other, source, cfg))
+        assert {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()} == files
+        assert parts.keys() == whole.keys()
+        for name, done in whole.items():
+            _same_finished(parts[name], done)
+
+
+def test_split_rows_is_longest_first_over_the_type_weights():
+    # The splits the README states for the bundled configs; each group
+    # keeps config order.
+    def names(groups):
+        return [[pc.name for pc in group] for group in groups]
+
+    def split(path):
+        cfg, errors, _ = cli.parse_config(path)
+        assert errors == []
+        return names(cli._split_rows(cfg.policies))
+
+    assert split("configs/synthetic_t60k.cfg") == [["alg2", "static", "pg"], ["po", "owm", "restpg"]]
+    assert split("configs/adversary.cfg") == [["alg1"], ["owm", "po"]]
+    one = [cli.PolicyConfig("a", "static")]
+    assert names(cli._split_rows(one)) == [["a"], []]
+    # Equal weights: config order decides, and a tie goes to group 0.
+    tie = [cli.PolicyConfig(name, "po") for name in "abc"]
+    assert names(cli._split_rows(tie)) == [["a", "c"], ["b"]]
+
+
+def test_a_one_row_config_starts_no_worker(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    text = GOOD.format(out=tmp_path / "out")
+    one = text[: text.index("[policy alg2]")] + "[output]\ndir = " + str(tmp_path / "out") + "\n"
+    assert cli.main(["run", _write(tmp_path, one, "one.cfg")]) == 0
+    assert (tmp_path / "out" / "summary").exists()
+    # The patch is in force: a config of two rows asks for the worker.
+    two = text[: text.index("[policy pg]")] + "[output]\ndir = " + str(tmp_path / "two") + "\n"
+    with pytest.raises(AssertionError, match="a worker process was started"):
+        cli.main(["run", _write(tmp_path, two, "two.cfg")])
+
+
+def test_group_job_runs_in_a_spawned_worker(tmp_path):
     # A spawned worker starts from a fresh import, as the default start
     # method does on some platforms: the job and its arguments must travel
-    # by pickle alone and give what the job gives in this process.
+    # by pickle alone and give what the job gives in this process.  One
+    # group holds an online and an offline row, the other an adversary row.
     from concurrent.futures import ProcessPoolExecutor
 
-    out = tmp_path / "out"
-    path = _write(tmp_path, WORKER.format(stride=1, window="sla_window = sg\ntau = 50\n", out=out))
-    cfg, errors, _ = cli.parse_config(path)
-    assert errors == []
-    out.mkdir()
-    pc = next(p for p in cfg.policies if p.name == "sg")
-    loads = workloads.bernoulli_gamma_fuzz(3, 400, 11).matrix
-    local = cli._run_offline(pc, loads, cfg)
-    local_bytes = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfgs = _group_configs(tmp_path)
+    jobs = {
+        "mixed": [pc for pc in cfgs["mixed"].policies if pc.name in ("m", "sg")],
+        "adversary": [pc for pc in cfgs["adversary"].policies if pc.name == "alg1"],
+    }
+    local, local_bytes = {}, {}
+    for case, pcs in jobs.items():
+        cfg = cfgs[case]
+        os.makedirs(cfg.output_dir)
+        local[case] = cli._run_group(pcs, cli._build_source(cfg), cfg)
+        local_bytes[case] = {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()}
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        remote = pool.submit(cli._run_offline, pc, loads, cfg).result(timeout=120)
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == local_bytes
-    assert sorted(local_bytes) == [
+        remote = {
+            case: pool.submit(cli._run_group, pcs, cli._build_source(cfgs[case]), cfgs[case])
+            for case, pcs in jobs.items()
+        }
+        remote = {case: job.result(timeout=120) for case, job in remote.items()}
+    for case, cfg in cfgs.items():
+        assert {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()} == local_bytes[case]
+        assert remote[case].keys() == local[case].keys()
+        for name, done in local[case].items():
+            _same_finished(remote[case][name], done)
+    assert sorted(local_bytes["mixed"]) == [
+        "cumulative_work_m.csv",
         "cumulative_work_sg.csv",
+        "queue_two_norm_m.csv",
         "queue_two_norm_sg.csv",
-        "sla_window_sg.csv",
+        "sla_window_m.csv",
     ]
-    assert (remote.totals, remote.norms, remote.window) == (local.totals, local.norms, local.window)
-    assert np.array_equal(remote.cumulative.values, local.cumulative.values)
-    assert np.array_equal(remote.cumulative.steps, local.cumulative.steps)
+    assert local["mixed"]["m"].optimum_rest is not None
+    assert local["mixed"]["sg"].optimum_rest is None
+    assert local["adversary"]["alg1"].phases > 0
+    assert local["adversary"]["alg1"].optimum_eps0 == pytest.approx(400.0)

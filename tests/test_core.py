@@ -72,13 +72,24 @@ def _reference_run(policy, source, horizon, stride=1):
             raise InvariantViolation(
                 f"total load is not finite (a NaN or infinite load): {total_load}"
             )
-        allocs = [row[0] for row in kept]
-        bad = [s for s, a in enumerate(allocs, 1) if not (a.min() >= 0.0 and a.sum() <= 1 + 1e-12)]
-        if bad:
-            # A failing step the trace does not keep is named by no step.
-            skipped = [s for s in bad if s % stride and s != horizon]
-            at = "between the kept steps" if skipped else f"{allocs[bad[0] - 1]} at step {bad[0]}"
-            raise InvariantViolation(f"an allocation {at} is negative, NaN or sums above 1")
+
+        def check(what, k, ok, how):
+            # Column k of every step's row; a failing step the trace does not
+            # keep is named by no step.
+            rows = [row[k] for row in kept]
+            bad = [s for s, x in enumerate(rows, 1) if not ok(x)]
+            if bad:
+                skipped = [s for s in bad if s % stride and s != horizon]
+                at = "between the kept steps" if skipped else f"{rows[bad[0] - 1]} at step {bad[0]}"
+                raise InvariantViolation(f"{what} {at} {how}")
+
+        check("a load", 3, lambda x: x.min() >= 0.0, "is negative")
+        check(
+            "an allocation",
+            0,
+            lambda x: x.min() >= 0.0 and x.sum() <= 1 + 1e-12,
+            "is negative, NaN or sums above 1",
+        )
     except Exception as exc:
         exc.step = t
         raise
@@ -156,6 +167,22 @@ class _Rows:
         return self.rows[t - 1]
 
 
+class _Late:
+    """Splits the resource evenly up to step `step - 1`, then returns `bad`."""
+
+    name = "late"
+
+    def __init__(self, n, step, bad):
+        self.even, self.step, self.bad = np.full(n, 1.0 / n), step, bad
+
+    def reset(self, n_users):
+        self.t = 0
+
+    def decide(self, active):
+        self.t += 1
+        return self.bad if self.t >= self.step else self.even
+
+
 def test_busy_idle_threshold_is_strict_above_tolerance():
     # Nothing is served, so step 2 sees the step-1 loads as queues: a
     # queue of exactly 1e-12 reads idle, 2e-12 and more read busy.
@@ -170,6 +197,25 @@ def test_run_rejects_a_nan_load():
     source = _Rows([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])
     with pytest.raises(InvariantViolation, match="total load is not finite"):
         run(StaticSla(SlaVector(np.array([0.5, 0.5]))), source, horizon=3)
+
+
+@pytest.mark.parametrize(
+    "stride, step, where",
+    [
+        (1, 2, r"a load \[-0\.5  0\.5\] at step 2"),
+        (7, 2, "a load between the kept steps"),
+        (7, 7, r"a load \[-0\.5  0\.5\] at step 7"),
+    ],
+    ids=["stride1", "stride7-skipped", "stride7-kept"],
+)
+def test_run_rejects_a_negative_load(stride, step, where):
+    # Fails without the check: the run recorded work -0.5 for user 0.
+    rows = np.full((10, 2), 0.5)
+    rows[step - 1] = (-0.5, 0.5)
+    sla = SlaVector(np.array([0.5, 0.5]))
+    match = rf"^row 0 \(static\): {where} is negative$"
+    with pytest.raises(InvariantViolation, match=match):
+        run(StaticSla(sla), _Rows(rows), horizon=10, stride=stride)
 
 
 def test_run_rejects_a_nan_allocation():
@@ -330,7 +376,10 @@ def _batches(draw):
     not) over up to three load matrices, shared or separate; in about half
     the batches N is 2 and one row is driven by its own QueueAdversary.
     Half the batches allow zero SLA shares, so po can raise
-    DegenerateSlaError and the error path is compared too.
+    DegenerateSlaError and the error path is compared too.  Half the
+    batches gain a faulty row at a random place, from a random step on: a
+    policy returning a bad allocation, or an adaptive source yielding a
+    negative or NaN load.  So the checks after the loop are compared too.
     """
     adversary = draw(st.booleans())
     n = 2 if adversary else draw(st.integers(2, 12))
@@ -367,7 +416,21 @@ def _batches(draw):
         policy = make_policy(name, sla, params, monitor_lemmas=monitor)
         return policy, QueueAdversary() if k is None else matrices[k]
 
-    return horizon, stride, [(spec[0], lambda spec=spec: row(spec)) for spec in specs]
+    rows = [(spec[0], lambda spec=spec: row(spec)) for spec in specs]
+    if draw(st.booleans()):
+        step = draw(st.integers(1, horizon))
+        loads = matrices[0].matrix
+        fault = draw(st.sampled_from(["over", "negative", "nan", "-load", "nan-load"]))
+        if fault.endswith("load"):
+            bad = loads.copy()
+            bad[step - 1:, 0] = np.nan if fault == "nan-load" else -0.25
+            faulty = ("static", lambda: (StaticSla(sla), _Rows(bad)))
+        else:
+            alloc = np.full(n, 1.0 / n)
+            alloc[0] = {"over": 1.5, "negative": -0.25, "nan": np.nan}[fault]
+            faulty = ("late", lambda: (_Late(n, step, alloc), matrices[0]))
+        rows.insert(draw(st.integers(0, len(rows))), faulty)
+    return horizon, stride, rows
 
 
 def _outcome(call):

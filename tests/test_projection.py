@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slasim import kl_divergence, project_truncated_simplex
+from slasim import project_truncated_simplex
+
+from entropy import kl_divergence
 
 
 def _reference_projection(y: np.ndarray, eps: float) -> np.ndarray:
