@@ -28,8 +28,8 @@ while this process runs group 0.  _split_rows forms the groups statically,
 longest first over the POLICY_TYPES weights (mw and mw_prop 15,
 simple_greedy 11, pg, po and owm 10, static 4).  Rows are independent, so
 any split writes the same bytes.  A config of one policy starts no worker,
-an error in group 0 is reported before one in group 1, and the benchmark's
-tracer sees only this process, so traced runs miss the worker group's spans.
+an error in group 0 wins over one in group 1 and stops the worker at once,
+and the benchmark's tracer sees only this process, not the worker's spans.
 Exit codes: 0 success, 1 config error, 2 runtime failure (a broken
 invariant, or an SLA split with every competing share zero), 3 I/O error.
 """
@@ -493,6 +493,14 @@ def _run_group(pcs: list[PolicyConfig], source, cfg: ExperimentConfig) -> dict[s
     return finished
 
 
+def _group_job(writer, *args) -> None:
+    """The worker process: send _run_group's result, or the error it raised."""
+    try:
+        writer.send(_run_group(*args))
+    except BaseException as exc:
+        writer.send(exc)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every configured policy, write CSVs and the summary file; a worker
     process runs group 1 of _split_rows while this process runs group 0."""
@@ -503,14 +511,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         finished = _run_group(here, source, cfg)
     else:
         # Imported here: a config of one policy never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=1)
+        # Terminating the worker on the way out stops group 1 if group 0 fails.
+        from multiprocessing import Pipe, Process
+        reader, writer = Pipe(duplex=False)
+        worker = Process(target=_group_job, args=(writer, there, source, cfg))
+        worker.start()
+        writer.close()  # recv raises EOFError if the worker dies without a word
         try:
-            job = pool.submit(_run_group, there, source, cfg)
             finished = _run_group(here, source, cfg)
-            finished.update(job.result())
+            result = reader.recv()
         finally:
-            pool.shutdown(cancel_futures=True)
+            worker.terminate()
+            worker.join()
+        if isinstance(result, BaseException):
+            raise result
+        finished.update(result)
 
     summary: dict[str, object] = {
         "workload": cfg.workload_type,

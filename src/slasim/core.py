@@ -351,7 +351,7 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
                     f"row {r} ({names[r]}): load source exhausted at step {t}: {exc}"
                 ) from exc
         work, queue = _update(queue, alloc, load)
-        cum = cum + work
+        np.add(cum, work, out=cum)
         total_load += load
         if t == rec.next:
             rec.keep(alloc, work, queue, load, cum)

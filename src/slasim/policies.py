@@ -19,7 +19,7 @@ within a rotating "served" set.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class MultiplicativeWeights(_SlaPolicy):
       users grow by a factor (1 + c');
     * proportional, when active usage exceeds 1 - eps: underserved users
       grow by a factor (1 + c').
+
+    One fused test per step checks every armed bound; the bounds run one
+    by one, in the order above, only to name the first that failed.
     """
 
     def __init__(
@@ -87,6 +90,13 @@ class MultiplicativeWeights(_SlaPolicy):
         self._target = (1.0 - params.epsilon) * sla.beta if proportional else sla.beta
         # exp(eta * gain) for gain 0 (idle), 1 (active), 1 + boost (underserved).
         self._factors = np.exp(params.eta * np.array([0.0, 1.0, 1.0 + params.boost]))
+        # [high, low usage][gain]: the largest factor f an armed bound puts on h
+        # (0.0: none); for h > 0, fl(f * h) - slack grows with f: it trips iff one does.
+        self._tightest = [
+            np.array([max((f for u, f, _ in self._bounds(low) if g in u), default=0.0)
+                      for g in range(3)])
+            for low in (False, True)
+        ]
         self._h: Optional[np.ndarray] = None
         self._t = 0
 
@@ -96,49 +106,50 @@ class MultiplicativeWeights(_SlaPolicy):
         self._t = 0
 
     def _step(self, h: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user step factors exp(eta * gain) and the underserved mask.
-
-        Active users get gain 1, underserved active users 1 + boost, inactive
-        users 0.  Exact equality with the threshold counts as served.
-        """
+        """Per-user step factors exp(eta * gain) and the gain index: 0 for
+        inactive users, 1 for served active users, 2 for underserved ones
+        (gain 1 + boost).  Exact equality with the threshold counts as served."""
         threshold = self._target
         if self.proportional:
             active_share = self.sla.beta[active].sum()
             # Zero-SLA users are never underserved.
             threshold = threshold / active_share if active_share > 0.0 else 0.0
-        under = active & (h < threshold)
-        return self._factors[np.add(active, under, dtype=np.intp)], under
+        gain = np.add(active, active & (h < threshold), dtype=np.intp)
+        return self._factors.take(gain), gain
 
     def decide(self, active: np.ndarray) -> np.ndarray:
         h = self._h
         self._t += 1
-        factors, under = self._step(h, active)
+        factors, gain = self._step(h, active)
         h_new = project_truncated_simplex(h * factors, self.params.epsilon)
         if self.monitor_lemmas:
-            self._check_lemmas(h, h_new, active, under)
+            self._check_lemmas(h, h_new, active, gain)
         self._h = h_new
         return h_new
 
-    def _check_lemmas(
-        self, h: np.ndarray, h_new: np.ndarray, active: np.ndarray, under: np.ndarray
-    ) -> None:
-        def bound(users: np.ndarray, lower: np.ndarray, what: str) -> None:
-            if (users & (h_new < lower - LEMMA_SLACK)).any():
-                raise LemmaViolation(f"step {self._t}: {what}")
-
-        eps = self.params.epsilon
-        usage = float(h[active].sum())
-        if usage <= 1.0 - eps:
+    def _bounds(self, low_usage: bool) -> Iterator[tuple[tuple, float, str]]:
+        """The bounds armed in a usage regime, in check order: (gain
+        indices of the users bound, factor on h, message)."""
+        if low_usage:
             what = "active user allocation grew less than the (1 + eps*eta/4N) factor at low usage"
-            bound(active, (1.0 + self._growth) * h, what)
+            yield (1, 2), 1.0 + self._growth, what
         if not self.proportional:
-            bound(under, h, "underserved allocation decreased")
+            yield (2,), 1.0, "underserved allocation decreased"
             what = "served active allocation shrank below the (1 - eps*c) factor"
-            bound(active & ~under, (1.0 - eps * self._growth) * h, what)
-        if (usage > 1.0 - eps) if self.proportional else self._floor_ok:
+            yield (1,), 1.0 - self.params.epsilon * self._growth, what
+        if (not low_usage) if self.proportional else self._floor_ok:
             what = "underserved allocation grew less than the (1 + c') boost factor"
             at = " at high usage" if self.proportional else ""
-            bound(under, (1.0 + self._boost_growth) * h, what + at)
+            yield (2,), 1.0 + self._boost_growth, what + at
+
+    def _check_lemmas(
+        self, h: np.ndarray, h_new: np.ndarray, active: np.ndarray, gain: np.ndarray
+    ) -> None:
+        low_usage = float(h[active].sum()) <= 1.0 - self.params.epsilon
+        if (h_new < self._tightest[low_usage].take(gain) * h - LEMMA_SLACK).any():
+            for users, factor, what in self._bounds(low_usage):
+                if (np.isin(gain, users) & (h_new < factor * h - LEMMA_SLACK)).any():
+                    raise LemmaViolation(f"step {self._t}: {what}")
 
 
 class StaticSla(_SlaPolicy):

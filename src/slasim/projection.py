@@ -23,6 +23,10 @@ strictly below the first unclipped sorted value are clipped; when that
 value is tied with the last clipped one, the tied coordinates of lowest
 index are clipped too, until the prefix size is reached, which is the
 order a stable sort would give them.
+
+At large n most steps clip nothing, so k = 0 is tried first.  That exit is
+bitwise: ``_budget(n, eps)[0]`` is exactly 1.0, so ``1.0 / suffix[0]`` is
+the search's own k = 0 factor and ``y`` times it the search's own answer.
 """
 
 from __future__ import annotations
@@ -71,10 +75,13 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
     ys = ys / top
     # suffix[k] = sum of ys[k:]
     suffix = ys[::-1].cumsum()[::-1]
+    scale = 1.0 / suffix.item(0)  # Python floats: the same IEEE bits, fewer calls
+    if ys.item(0) * scale >= floor:
+        return y * scale
 
     # Clipped coordinates form a prefix of the ascending order.  Take the
     # first prefix size whose rescale keeps the smallest unclipped entry at
-    # the floor or above; size n-1 always qualifies.
+    # the floor or above; size n-1 always qualifies, and size 0 failed above.
     scales = _budget(n, eps) / suffix[:-1]
     ok = ys[:-1] * scales >= floor
     k = int(ok.argmax())
@@ -85,13 +92,12 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
         scale = (1.0 - floor * k) / suffix[k]
 
     x = y * scale
-    if k:
-        low = ys[k]
-        clip = y < low
-        if ys[k - 1] == low:
-            # Clip the lowest-index entries tied with ys[k] until k are clipped.
-            tied = np.flatnonzero(y == low)
-            clip[tied[: k - np.count_nonzero(clip)]] = True
-        x[clip] = floor
+    low = ys[k]
+    clip = y < low
+    if ys[k - 1] == low:
+        # Clip the lowest-index entries tied with ys[k] until k are clipped.
+        tied = np.flatnonzero(y == low)
+        clip[tied[: k - np.count_nonzero(clip)]] = True
+    x[clip] = floor
     return x
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slasim import cli, metrics, offline, policies, workloads
-from slasim.core import InvariantViolation, PolicyParams, SlaVector, run
+from slasim.core import DegenerateSlaError, InvariantViolation, PolicyParams, SlaVector, run
 from slasim.offline import offline_optimal_value
 from slasim.workloads import synthetic_gamma
 
@@ -827,6 +828,45 @@ dir = {out}
 """
 
 
+def _stalled_group(pcs, source, cfg):
+    """cli._run_group, but a minute late in the worker process."""
+    if multiprocessing.parent_process() is not None:
+        time.sleep(60.0)
+    return _RUN_GROUP(pcs, source, cfg)
+
+
+_RUN_GROUP = cli._run_group
+
+
+def test_group_zero_failure_stops_the_worker_at_once(tmp_path, monkeypatch):
+    # po fails in group 0 within the first steps while the worker's group,
+    # owm, stalls for a minute: run must raise at once and leave no child.
+    text = f"""\
+[workload]
+type = bernoulli_gamma
+horizon = 200
+sla = 1.0, 0.0
+
+[policy p]
+type = po
+
+[policy o]
+type = owm
+
+[output]
+dir = {tmp_path / "out"}
+"""
+    cfg, errors, _ = cli.parse_config(_write(tmp_path, text))
+    assert errors == []
+    assert [[pc.name for pc in group] for group in cli._split_rows(cfg.policies)] == [["p"], ["o"]]
+    monkeypatch.setattr(cli, "_run_group", _stalled_group)
+    start = time.perf_counter()
+    with pytest.raises(DegenerateSlaError, match=PO_SPLIT):
+        cli.run_experiment(cfg)
+    assert time.perf_counter() - start < 30.0
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("stride", [1, 7])
 def test_offline_worker_outputs_match_library_calls(tmp_path, stride):
     out, expected = tmp_path / "out", tmp_path / "expected"
@@ -957,12 +997,10 @@ def test_split_rows_is_longest_first_over_the_type_weights():
 
 
 def test_a_one_row_config_starts_no_worker(tmp_path, monkeypatch):
-    import concurrent.futures
-
     def refuse(*args, **kwargs):
         raise AssertionError("a worker process was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
     text = GOOD.format(out=tmp_path / "out")
     one = text[: text.index("[policy alg2]")] + "[output]\ndir = " + str(tmp_path / "out") + "\n"
     assert cli.main(["run", _write(tmp_path, one, "one.cfg")]) == 0
@@ -978,8 +1016,6 @@ def test_group_job_runs_in_a_spawned_worker(tmp_path):
     # method does on some platforms: the job and its arguments must travel
     # by pickle alone and give what the job gives in this process.  One
     # group holds an online and an offline row, the other an adversary row.
-    from concurrent.futures import ProcessPoolExecutor
-
     cfgs = _group_configs(tmp_path)
     jobs = {
         "mixed": [pc for pc in cfgs["mixed"].policies if pc.name in ("m", "sg")],
@@ -991,12 +1027,15 @@ def test_group_job_runs_in_a_spawned_worker(tmp_path):
         os.makedirs(cfg.output_dir)
         local[case] = cli._run_group(pcs, cli._build_source(cfg), cfg)
         local_bytes[case] = {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()}
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        remote = {
-            case: pool.submit(cli._run_group, pcs, cli._build_source(cfgs[case]), cfgs[case])
-            for case, pcs in jobs.items()
-        }
-        remote = {case: job.result(timeout=120) for case, job in remote.items()}
+    spawn, remote = multiprocessing.get_context("spawn"), {}
+    for case, pcs in jobs.items():
+        reader, writer = spawn.Pipe(duplex=False)
+        args = (writer, pcs, cli._build_source(cfgs[case]), cfgs[case])
+        worker = spawn.Process(target=cli._group_job, args=args)
+        worker.start()
+        writer.close()
+        remote[case] = reader.recv()
+        worker.join()
     for case, cfg in cfgs.items():
         assert {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()} == local_bytes[case]
         assert remote[case].keys() == local[case].keys()

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slasim import PolicyParams, SlaVector, run
 from slasim.core import DegenerateSlaError, LemmaViolation
@@ -24,6 +25,16 @@ from slasim.workloads import PrecomputedLoads, bernoulli_gamma_fuzz
 
 def _params(n: int, eps: float = 0.05, eta: float = 1.0 / 3.0) -> PolicyParams:
     return PolicyParams(n_users=n, epsilon=eps, eta=eta)
+
+
+def _under(policy: MultiplicativeWeights, h, active) -> np.ndarray:
+    """The underserved mask of one step: the users of gain index 2."""
+    return policy._step(h, active)[1] == 2
+
+
+def _check(policy: MultiplicativeWeights, h, h_new, active, under) -> None:
+    """Run the lemma monitors on one update given its underserved mask."""
+    policy._check_lemmas(h, h_new, active, np.add(active, under, dtype=np.intp))
 
 
 def _first_update(sla: SlaVector, params: PolicyParams, active) -> np.ndarray:
@@ -63,16 +74,17 @@ def test_exact_share_counts_as_served():
     policy = _mw([0.3, 0.7])
     h = np.array([0.3, 0.7])
     active = np.array([True, True])
-    _, under = policy._step(h, active)
+    under = _under(policy, h, active)
     assert not under.any()
-    _, under = policy._step(h - 1e-9, active)
+    under = _under(policy, h - 1e-9, active)
     assert under.all()
 
 
 def test_gain_is_exactly_zero_one_or_one_plus_boost():
     policy = _mw([0.5, 0.25, 0.25])
     h = np.array([0.2, 0.4, 0.4])
-    factors, under = policy._step(h, np.array([True, True, False]))
+    factors, gain = policy._step(h, np.array([True, True, False]))
+    under = gain == 2
     assert list(under) == [True, False, False]
     p = policy.params
     assert np.array_equal(factors, np.exp(p.eta * np.array([1.0 + p.boost, 1.0, 0.0])))
@@ -90,7 +102,8 @@ def test_step_factors_are_exp_of_the_gain_bitwise(n, proportional):
     for _ in range(20):
         h = rng.dirichlet(np.ones(n))
         active = rng.random(n) < 0.6
-        factors, under = policy._step(h, active)
+        factors, gain = policy._step(h, active)
+        under = gain == 2
         assert np.array_equal(factors, np.exp(p.eta * (active + p.boost * under)))
         seen.update(zip(active.tolist(), under.tolist()))
     assert seen == {(False, False), (True, False), (True, True)}
@@ -110,7 +123,7 @@ def test_proportional_threshold_uses_active_share():
     active = np.array([True, True, False])
     h = np.array([0.35, 0.55, 0.10])
     # active share is 0.5; targets are (1-eps) * (0.4, 0.6, .)
-    _, under = policy._step(h, active)
+    under = _under(policy, h, active)
     assert list(under) == [True, False, False]
 
 
@@ -118,7 +131,7 @@ def test_zero_active_share_never_underserved():
     policy = _mw([0.0, 0.5, 0.5], eps=0.1, proportional=True)
     active = np.array([True, False, False])
     h = np.array([0.2, 0.4, 0.4])
-    _, under = policy._step(h, active)
+    under = _under(policy, h, active)
     assert not under.any()
 
 
@@ -281,7 +294,7 @@ def test_low_usage_growth_bound_triggers_when_violated():
         "step 1: active user allocation grew less than the (1 + eps*eta/4N) factor at low usage"
     )
     with pytest.raises(LemmaViolation, match=_exactly(message)):
-        policy._check_lemmas(h, bad, np.array([True, False]), np.array([False, False]))
+        _check(policy, h, bad, np.array([True, False]), np.array([False, False]))
 
 
 _USER0 = np.array([True, False])
@@ -312,7 +325,7 @@ def test_each_monitor_trips_on_a_poisoned_update(proportional, h_new, message):
     assert policy._floor_ok  # shares 0.5 clear the 2*eps/N floor
     h = np.array([0.3, 0.7])
     with pytest.raises(LemmaViolation, match=_exactly(message)):
-        policy._check_lemmas(h, np.array(h_new), np.array([True, True]), _USER0)
+        _check(policy, h, np.array(h_new), np.array([True, True]), _USER0)
 
 
 def test_basic_boost_bound_is_not_checked_below_the_share_floor():
@@ -324,9 +337,9 @@ def test_basic_boost_bound_is_not_checked_below_the_share_floor():
     both = np.array([True, True])
     policy = _monitored([0.01, 0.99])
     assert not policy._floor_ok
-    policy._check_lemmas(h, h.copy(), both, _USER0)
+    _check(policy, h, h.copy(), both, _USER0)
     with pytest.raises(LemmaViolation, match=_exactly(_BOOST + " at high usage")):
-        _monitored([0.01, 0.99], proportional=True)._check_lemmas(h, h.copy(), both, _USER0)
+        _check(_monitored([0.01, 0.99], proportional=True), h, h.copy(), both, _USER0)
 
 
 def test_monitor_slack_is_absolute():
@@ -338,9 +351,94 @@ def test_monitor_slack_is_absolute():
     h = np.array([0.05, 0.95])
     bound = (1.0 + policy._growth) * h[0]
     none = np.array([False, False])
-    policy._check_lemmas(h, np.array([bound - 0.5 * LEMMA_SLACK, 0.95]), _USER0, none)
+    _check(policy, h, np.array([bound - 0.5 * LEMMA_SLACK, 0.95]), _USER0, none)
     with pytest.raises(LemmaViolation, match="grew less"):
-        policy._check_lemmas(h, np.array([bound - 2.0 * LEMMA_SLACK, 0.95]), _USER0, none)
+        _check(policy, h, np.array([bound - 2.0 * LEMMA_SLACK, 0.95]), _USER0, none)
+
+
+def _reference_lemmas(policy: MultiplicativeWeights, h, h_new, active, under) -> None:
+    """The lemma monitors as ordered per-bound checks, one mask each, with
+    c and c' from the policy's parameters; _check_lemmas must raise exactly
+    when this does, with the same message."""
+
+    def bound(users, lower, what):
+        if (users & (h_new < lower - LEMMA_SLACK)).any():
+            raise LemmaViolation(f"step {policy._t}: {what}")
+
+    p, n = policy.params, policy.sla.n
+    c = p.epsilon * p.eta / (4.0 * n)
+    c_boost = p.epsilon * p.eta * p.boost / (2.0 * n)
+    usage = float(h[active].sum())
+    if usage <= 1.0 - p.epsilon:
+        what = "active user allocation grew less than the (1 + eps*eta/4N) factor at low usage"
+        bound(active, (1.0 + c) * h, what)
+    if not policy.proportional:
+        bound(under, h, "underserved allocation decreased")
+        what = "served active allocation shrank below the (1 - eps*c) factor"
+        bound(active & ~under, (1.0 - p.epsilon * c) * h, what)
+    floor_ok = policy.sla.theory_applicable(p.epsilon)
+    if (usage > 1.0 - p.epsilon) if policy.proportional else floor_ok:
+        what = "underserved allocation grew less than the (1 + c') boost factor"
+        at = " at high usage" if policy.proportional else ""
+        bound(under, (1.0 + c_boost) * h, what + at)
+
+
+def _raised(check) -> str | None:
+    try:
+        check()
+    except LemmaViolation as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def monitor_cases(draw, floor_ok: bool):
+    """(sla, params, h, h_new, active, under) in a drawn usage regime.
+    h_new is 2h, above every bound, except at up to three users, each set
+    to some bound's lower - LEMMA_SLACK, one ulp below it or one above."""
+    n = draw(st.integers(2, 8))
+    eps = draw(st.floats(0.01, 0.1))
+    eta = draw(st.floats(0.05, 1.0 / 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta = rng.dirichlet(np.ones(n))
+    if floor_ok:
+        beta = 0.5 / n + 0.5 * beta  # every share at least 0.5/N >= 2*eps/N
+    else:
+        beta[0] = 0.0
+    # k active users carry usage u: at most 1 - eps at low usage, above it at high.
+    low = draw(st.booleans())
+    k = draw(st.integers(0, n - 1) if low else st.integers(1, n))
+    u = draw(st.floats(0.01, 0.99 - eps) if low else st.floats(1.01 - eps, 1.0))
+    u = 0.0 if k == 0 else 1.0 if k == n else u
+    h = np.concatenate([u * rng.dirichlet(np.ones(k)), (1.0 - u) * rng.dirichlet(np.ones(n - k))])
+    h = np.maximum(h, 1e-6)  # strictly positive, as every projection output is
+    active = np.arange(n) < k
+    order = rng.permutation(n)
+    h, active = h[order], active[order]
+    under = active & (rng.random(n) < 0.5)
+    params = PolicyParams(n_users=n, epsilon=eps, eta=eta)
+    c = eps * eta / (4.0 * n)
+    factors = [1.0 + c, 1.0, 1.0 - eps * c, 1.0 + eps * eta * params.boost / (2.0 * n)]
+    h_new = 2.0 * h
+    near = st.tuples(st.integers(0, n - 1), st.sampled_from(factors), st.sampled_from([-1, 0, 1]))
+    for j, f, ulp in draw(st.lists(near, max_size=3)):
+        lower = f * h[j] - LEMMA_SLACK
+        h_new[j] = np.nextafter(lower, ulp * np.inf) if ulp else lower
+    assert (float(h[active].sum()) <= 1.0 - eps) == low
+    return SlaVector(beta), params, h, h_new, active, under
+
+
+@pytest.mark.parametrize("floor_ok", [True, False], ids=["floor-ok", "below-floor"])
+@pytest.mark.parametrize("proportional", [False, True], ids=["basic", "prop"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fused_monitor_matches_the_per_bound_checks(proportional, floor_ok, data):
+    sla, params, h, h_new, active, under = data.draw(monitor_cases(floor_ok))
+    policy = MultiplicativeWeights(sla, params, proportional, monitor_lemmas=True)
+    assert policy._floor_ok == floor_ok
+    policy._t = 7
+    expected = _raised(lambda: _reference_lemmas(policy, h, h_new, active, under))
+    assert _raised(lambda: _check(policy, h, h_new, active, under)) == expected
 
 
 def test_factory_builds_each_policy():

@@ -284,3 +284,40 @@ def test_matches_reference_with_repeated_values(y, eps):
 )
 def test_matches_reference_with_ties_at_the_clip_boundary(case):
     _assert_matches_reference(*case)
+
+
+# ----------------------------------------------------- the no-clip exit
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=8, max_value=64), st.just(1000)),
+    spread=st.floats(min_value=0.0, max_value=1.0),
+    eps=st.floats(min_value=1e-6, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matches_reference_when_nothing_clips(n, spread, eps, seed):
+    # Entries within a factor 2 of each other: the smallest is at least
+    # 1/(2n) of the total, so at eps <= 0.5 the projection clips nothing.
+    y = 1.0 + spread * np.random.default_rng(seed).random(n)
+    assert project_truncated_simplex(y, eps).min() >= eps / n
+    _assert_matches_reference(y, eps)
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+def test_smallest_entry_rescaled_exactly_onto_the_floor(n):
+    # One entry a among ones: the rescale 1 / (a + n - 1) takes it to
+    # v = a * (1 / (a + n - 1)).  With n a power of two, eps = n * v puts
+    # the floor eps / n exactly on v, so the no-clip test holds with
+    # equality; one ulp more eps lifts the floor above v and a clips.
+    a, i = 0.3, n // 3
+    y = np.ones(n)
+    y[i] = a
+    v = a * (1.0 / (a + (n - 1)))
+    eps = v * n
+    assert eps / n == v
+    assert project_truncated_simplex(y, eps)[i] == v
+    _assert_matches_reference(y, eps)
+    up = np.nextafter(eps, 1.0)
+    assert project_truncated_simplex(y, up)[i] == up / n > v
+    _assert_matches_reference(y, up)
