@@ -478,7 +478,7 @@ def _run_group(pcs: list[PolicyConfig], source, cfg: ExperimentConfig) -> dict[s
     shared = None if adversary else source.matrix[: cfg.horizon]
     types = policies.POLICY_TYPES
     online = [pc for pc in pcs if types[pc.type].build is not None]
-    built = [types[pc.type].build(cfg.sla, pc.params, cfg.assert_lemmas) for pc in online]
+    built = [policies.make_policy(pc.type, cfg.sla, pc.params, cfg.assert_lemmas) for pc in online]
     sources = [workloads.QueueAdversary() if adversary else source for _ in online]
     traces = run_batch(zip(built, sources), cfg.horizon, stride=cfg.stride) if online else []
     finished = {}

@@ -14,16 +14,18 @@ rows in lockstep, holding queues, allocations, loads and running totals as
 (B, N) arrays.  At step t it computes the busy/idle pattern of every row
 at once; then, row by row in order, row r's policy decides from its own
 pattern and row r's source supplies its load (an adaptive source sees that
-row's allocation and pattern); then one update, one running sum and one
-recorder call serve all rows.  Every operation is elementwise per row, so
-a row's trace is bit for bit that of the row run alone.  `run` is the
-batch of one.
+row's allocation and pattern); then one update and one running sum serve
+all rows.  Every operation is elementwise per row, so a row's trace is bit
+for bit that of the row run alone.  `run` is the batch of one.
 
 The update is written once, in `_update`.  The engine, the offline
 greedies, the adversary's mirror of the queues and the windowed static
 re-simulation in `metrics` all apply it, so their queues agree bit for
 bit.  `_Recorder` keeps the trace rows for both the engine and the offline
-greedies.
+greedies: each step writes its rows in place into one slot of a block of
+steps, and after each block the recorder copies the kept steps out.  The
+engine checks each block once, so a bad allocation or load is named with
+its step at every stride and raised at the end of its block.
 
 `EMPTY_TOLERANCE` is the one busy/idle threshold: a queue counts as busy
 when it exceeds it.  It is a roundoff guard on the paper's "queue is
@@ -121,16 +123,20 @@ def _check_loads(loads: np.ndarray) -> np.ndarray:
     return loads
 
 
-def _update(queue: np.ndarray, alloc: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _update(
+    queue: np.ndarray, alloc: np.ndarray, load: np.ndarray, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """One queue update, unchecked: returns (work done, queue after).
 
     work(i) = min(alloc(i), load(i) + queue(i)); the new queue is
     load(i) + queue(i) - work(i), which is exactly
-    max(0, load(i) + queue(i) - alloc(i)).
+    max(0, load(i) + queue(i) - alloc(i)).  As in numpy's own `out=`, a
+    (work, queue) pair of arrays in `out` receives the results in place.
     """
+    work, after = (None, None) if out is None else out
     avail = load + queue
-    work = np.minimum(alloc, avail)
-    return work, avail - work
+    work = np.minimum(alloc, avail, out=work)
+    return work, np.subtract(avail, work, out=after)
 
 
 class Policy(Protocol):
@@ -147,7 +153,7 @@ class LoadSource(Protocol):
     A source backed by a fixed T x N float64 matrix exposes it as `matrix`,
     and `next(t, ...)` returns `matrix[t - 1]`; the engine then takes the
     trace's `load` rows from that matrix after the loop instead of copying
-    them at every kept step, and any number of batch rows may share the
+    them out of its blocks, and any number of batch rows may share the
     source.  Adaptive sources have no `matrix` and drive one row each.
     """
 
@@ -207,9 +213,15 @@ class SimulationTrace:
 
 class _Recorder:
     """Per-step rows of B traces, kept at every stride-th step and always at
-    the final one; the caller calls keep() with (B, N) arrays (or N-vectors
-    when B is 1) when t == next.  Load rows are copied only when some row
-    has no load matrix to take them from."""
+    the final one.
+
+    Step t writes its alloc, work, queue, load and cum_work (B, N) rows in
+    place into slot (t - 1) % block of the block buffers, from the queue and
+    cum_work of the slot before (the last slot starts at zero); `slots[k]`
+    holds those seven views.  After each block and at the final step,
+    store() copies the block's kept steps out; load rows only when some row
+    has no load matrix to take them from.
+    """
 
     def __init__(self, horizon: int, stride: int, shape: tuple[int, int], matrices: list):
         kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
@@ -218,27 +230,26 @@ class _Recorder:
         self.horizon = horizon
         self.stride = stride
         self.steps = kept
-        self.next = int(kept[0])
-        self._j = 0
         self._matrices = matrices
-        m = len(kept)
-        self.alloc = np.empty((m, *shape))
-        self.work = np.empty((m, *shape))
-        self.queue = np.empty((m, *shape))
-        self.load = None if all(x is not None for x in matrices) else np.empty((m, *shape))
-        self.cum_work = np.empty((m, *shape))
+        # alloc, work, queue, cum_work and, if some row has no load matrix, load.
+        fields = 4 if all(x is not None for x in matrices) else 5
+        self.kept = np.empty((fields, len(kept), *shape))
+        self.alloc, self.work, self.queue, self.cum_work = self.kept[:4]
+        self.load = self.kept[4] if fields == 5 else None
+        # About 8192 values per field and block, so wide rows stay in cache.
+        k = self.block = max(2, min(256, 8192 // (shape[0] * shape[1])))
+        self.blocks = np.zeros((5, k, *shape))
+        a, w, q, c, ld = self.blocks
+        self.slots = [(a[s], w[s], q[s], ld[s], c[s], q[s - 1], c[s - 1]) for s in range(k)]
 
-    def keep(self, alloc, work, queue, load, cum_work) -> None:
-        j = self._j
-        self.alloc[j] = alloc
-        self.work[j] = work
-        self.queue[j] = queue
-        if self.load is not None:
-            self.load[j] = load
-        self.cum_work[j] = cum_work
-        self._j = j + 1
-        if self._j < len(self.steps):
-            self.next = int(self.steps[self._j])
+    def store(self, t: int) -> tuple[int, np.ndarray]:
+        """Copy the kept steps of the block that ends at step t out; returns
+        the block's first step and its written slots of the five buffers."""
+        first = t - (t - 1) % self.block
+        j0, j1 = np.searchsorted(self.steps, (first, t + 1))
+        if j1 > j0:
+            self.kept[:, j0:j1] = self.blocks[: len(self.kept), self.steps[j0:j1] - first]
+        return first, self.blocks[:, : t - first + 1]
 
     def load_rows(self, r: int) -> np.ndarray:
         """Row r's kept load rows: recorded ones, or those of its load matrix."""
@@ -294,6 +305,27 @@ def _check_rows(rows: list, names: list[str]) -> int:
     return n
 
 
+def _check_block(first: int, blocks: np.ndarray, loads: bool, names: list[str]) -> None:
+    """Raise InvariantViolation for a bad allocation, or, if `loads`, a
+    negative or NaN load in the block of steps from `first`: row by row, a
+    row's loads before its allocations, naming the first bad step.  The
+    masks hold the good steps, so NaN, which fails every comparison, is bad."""
+    alloc, load = blocks[0], blocks[4]
+    good = (alloc.min(axis=2) >= 0.0) & (alloc.sum(axis=2) <= 1.0 + 1e-12)
+    checks = [("an allocation", alloc, good, "is negative, NaN or sums above 1")]
+    if loads:
+        checks.insert(0, ("a load", load, load.min(axis=2) >= 0.0, "is negative or NaN"))
+    if all(ok.all() for _, _, ok, _ in checks):
+        return
+    for r, name in enumerate(names):
+        for what, values, good, how in checks:
+            if not good[:, r].all():
+                j = int(np.argmin(good[:, r]))
+                raise InvariantViolation(
+                    f"row {r} ({name}): {what} {values[j, r]} at step {first + j} {how}"
+                )
+
+
 def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     """Drive B (policy, source) rows in lockstep for `horizon` steps and
     return one trace per row, in row order.
@@ -304,11 +336,12 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     matrix-backed source; an adaptive source drives one row only.  Raises
     ValueError for an empty batch, rows that disagree on n_users or share a
     policy or an adaptive source; LoadExhausted if a source cannot supply
-    `horizon` steps; and InvariantViolation, after the loop, for a load
-    total that is not finite (a NaN or infinite load), a negative load from
-    a source without a load matrix, or an allocation that is negative, NaN
-    or sums above 1.  Engine messages name the row and its policy, as in
-    "row 2 (po)", and at stride 1 the step of a bad load or allocation.
+    `horizon` steps; and InvariantViolation, at the end of the block of
+    steps it falls in, for a negative or NaN load from a source without a
+    load matrix or an allocation that is negative, NaN or sums above 1, and
+    after the loop for a load total that is not finite (an infinite load).
+    Engine messages name the row and its policy, as in "row 2 (po)", and at
+    every stride the step of a bad load or allocation.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -329,18 +362,10 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     b = len(rows)
     rec = _Recorder(horizon, stride, (b, n), [getattr(s, "matrix", None) for _, s in rows])
     steppers = [(r, policy.decide, source.next) for r, (policy, source) in enumerate(rows)]
-    queue = np.zeros((b, n))
-    cum = np.zeros((b, n))
     total_load = np.zeros((b, n))
-    alloc = np.empty((b, n))
-    load = np.empty((b, n))
-    # Running extremes at the steps the recorder skips; loads only if it keeps them.
-    alloc_sum = np.empty(b)
-    top_sum = np.full(b, -np.inf)
-    low = np.full((b, n), np.inf)
-    low_load = None if rec.load is None else np.full((b, n), np.inf)
     for t in range(1, horizon + 1):
-        active = queue > EMPTY_TOLERANCE
+        alloc, work, queue, load, cum, queue_before, cum_before = rec.slots[(t - 1) % rec.block]
+        active = queue_before > EMPTY_TOLERANCE
         for r, decide, next_load in steppers:
             seen = active[r]
             alloc[r] = a = decide(seen)
@@ -350,46 +375,19 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
                 raise LoadExhausted(
                     f"row {r} ({names[r]}): load source exhausted at step {t}: {exc}"
                 ) from exc
-        work, queue = _update(queue, alloc, load)
-        np.add(cum, work, out=cum)
+        _update(queue_before, alloc, load, out=(work, queue))
+        np.add(cum_before, work, out=cum)
         total_load += load
-        if t == rec.next:
-            rec.keep(alloc, work, queue, load, cum)
-        else:
-            np.add.reduce(alloc, axis=1, out=alloc_sum)
-            np.maximum(top_sum, alloc_sum, out=top_sum)
-            np.minimum(low, alloc, out=low)
-            if low_load is not None:
-                np.minimum(low_load, load, out=low_load)
+        if t % rec.block == 0 or t == horizon:
+            _check_block(*rec.store(t), rec.load is not None, names)
 
-    # A NaN or infinite load reaches total_load.  The other tests are
-    # negated so that NaN, which np.minimum and np.maximum carry into the
-    # running extremes, fails them too.  Each is (what, kept rows, bad kept
-    # steps, bad skipped steps, how), in the order a row reports them.
-    # Loads are kept, and so tested, only if some row has no load matrix (a
-    # matrix is checked when it is built).  A kept step is named only if no
-    # skipped step failed, so it is the first.
-    checks = []
-    if rec.load is not None:
-        kept_bad = ~(rec.load.min(axis=2) >= 0.0)
-        checks.append(("a load", rec.load, kept_bad, ~(low_load.min(axis=1) >= 0.0), "is negative"))
-    kept_bad = ~(rec.alloc.min(axis=2) >= 0.0) | ~(rec.alloc.sum(axis=2) <= 1.0 + 1e-12)
-    between_bad = ~(low.min(axis=1) >= 0.0) | ~(top_sum <= 1.0 + 1e-12)
-    how = "is negative, NaN or sums above 1"
-    checks.append(("an allocation", rec.alloc, kept_bad, between_bad, how))
+    # An infinite load (or a NaN one from a matrix) reaches only total_load.
     for r in range(b):
         if not np.isfinite(total_load[r]).all():
             raise InvariantViolation(
                 f"row {r} ({names[r]}): total load is not finite "
                 f"(a NaN or infinite load): {total_load[r]}"
             )
-        for what, kept, kept_bad, between_bad, how in checks:
-            if between_bad[r] or kept_bad[:, r].any():
-                at = "between the kept steps"
-                if not between_bad[r]:
-                    j = int(np.argmax(kept_bad[:, r]))
-                    at = f"{kept[j, r]} at step {rec.steps[j]}"
-                raise InvariantViolation(f"row {r} ({names[r]}): {what} {at} {how}")
     return [rec.trace(r, names[r], cum[r], total_load[r], queue[r]) for r in range(b)]
 
 

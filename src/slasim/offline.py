@@ -58,16 +58,15 @@ def _offline_trace(loads: np.ndarray, name: str, serve, stride: int = 1) -> Simu
     every alloc(i) is at most pending(i), so it is also the work done."""
     horizon, n = loads.shape
     rec = _Recorder(horizon, stride, (1, n), [loads])
-    queue = np.zeros(n)
-    cum = np.zeros(n)
     for t in range(1, horizon + 1):
+        alloc, work, queue, _, cum, queue_before, cum_before = rec.slots[(t - 1) % rec.block]
         load = loads[t - 1]
-        alloc = serve(queue + load)
-        work, queue = _update(queue, alloc, load)
-        cum = cum + work
-        if t == rec.next:
-            rec.keep(alloc, work, queue, load, cum)
-    return rec.trace(0, name, cum, loads.sum(axis=0), queue)
+        alloc[0] = serve(queue_before[0] + load)
+        _update(queue_before, alloc, load, out=(work, queue))
+        np.add(cum_before, work, out=cum)
+        if t % rec.block == 0 or t == horizon:
+            rec.store(t)
+    return rec.trace(0, name, cum[0], loads.sum(axis=0), queue[0])
 
 
 def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> SimulationTrace:

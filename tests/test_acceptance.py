@@ -64,28 +64,34 @@ def fuzz_corpus():
     Every run drives one basic and one proportional policy over the same
     random loads with the growth monitors armed; a single monitor trip
     aborts the whole suite.  Shares are mixed toward uniform so each one
-    clears the 2*eps/N floor the basic rule's boost guarantee needs.
+    clears the 2*eps/N floor the basic rule's boost guarantee needs.  The
+    runs of one N step as one lockstep batch, whose rows are bit for bit
+    the runs alone.
     """
-    records = []
-    for k in range(FUZZ_RUNS):
-        n = 2 + k % 5
-        rng = np.random.default_rng(1000 + k)
-        beta = 0.5 * rng.dirichlet(np.ones(n)) + 0.5 / n
-        sla = SlaVector(beta)
-        params = PolicyParams(
-            n_users=n,
-            epsilon=(0.02, 0.05, 0.1)[k % 3],
-            eta=(1.0 / 3.0, 0.2)[k % 2],
-        )
-        source = bernoulli_gamma_fuzz(n, FUZZ_HORIZON, seed=2000 + k)
-        works = {}
-        for prop in (False, True):
-            policy = MultiplicativeWeights(
-                sla, params, proportional=prop, monitor_lemmas=True
+    records = [None] * FUZZ_RUNS
+    for n in range(2, 7):
+        runs = [k for k in range(FUZZ_RUNS) if 2 + k % 5 == n]
+        rows = []
+        for k in runs:
+            rng = np.random.default_rng(1000 + k)
+            beta = 0.5 * rng.dirichlet(np.ones(n)) + 0.5 / n
+            sla = SlaVector(beta)
+            params = PolicyParams(
+                n_users=n,
+                epsilon=(0.02, 0.05, 0.1)[k % 3],
+                eta=(1.0 / 3.0, 0.2)[k % 2],
             )
-            trace = run(policy, source, horizon=FUZZ_HORIZON, stride=FUZZ_HORIZON)
-            works["prop" if prop else "basic"] = float(trace.total_work.sum())
-        records.append({"loads": source.matrix, "works": works})
+            source = bernoulli_gamma_fuzz(n, FUZZ_HORIZON, seed=2000 + k)
+            records[k] = {"loads": source.matrix, "works": {}}
+            for prop in (False, True):
+                policy = MultiplicativeWeights(
+                    sla, params, proportional=prop, monitor_lemmas=True
+                )
+                rows.append((policy, source))
+        traces = run_batch(rows, horizon=FUZZ_HORIZON, stride=FUZZ_HORIZON)
+        for i, trace in enumerate(traces):
+            rule = ("basic", "prop")[i % 2]
+            records[runs[i // 2]]["works"][rule] = float(trace.total_work.sum())
     return records
 
 

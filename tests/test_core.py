@@ -36,7 +36,10 @@ def _reference_run(policy, source, horizon, stride=1):
     Every row of run_batch must match it bit for bit.  It keeps every
     step's rows and thins them at the end, so it shares no recorder code
     with the engine.  An exception it raises carries the step it failed at
-    as `step` (horizon + 1 for the checks after the loop).
+    as `step`: horizon + 1 for the engine's block check, which sees every
+    batch `_batches` draws as one block (rows x N x horizon is at most
+    6 x 12 x 40, under the block's 8192 values), and horizon + 2 for the
+    total load check after the loop.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -68,28 +71,26 @@ def _reference_run(policy, source, horizon, stride=1):
             total_load += load
             kept.append([np.array(x, dtype=np.float64) for x in (alloc, work, queue, load, cum)])
         t = horizon + 1
-        if not np.isfinite(total_load).all():
-            raise InvariantViolation(
-                f"total load is not finite (a NaN or infinite load): {total_load}"
-            )
 
         def check(what, k, ok, how):
-            # Column k of every step's row; a failing step the trace does not
-            # keep is named by no step.
+            # Column k of every step's row, named at its first failing step.
             rows = [row[k] for row in kept]
             bad = [s for s, x in enumerate(rows, 1) if not ok(x)]
             if bad:
-                skipped = [s for s in bad if s % stride and s != horizon]
-                at = "between the kept steps" if skipped else f"{rows[bad[0] - 1]} at step {bad[0]}"
-                raise InvariantViolation(f"{what} {at} {how}")
+                raise InvariantViolation(f"{what} {rows[bad[0] - 1]} at step {bad[0]} {how}")
 
-        check("a load", 3, lambda x: x.min() >= 0.0, "is negative")
+        check("a load", 3, lambda x: x.min() >= 0.0, "is negative or NaN")
         check(
             "an allocation",
             0,
             lambda x: x.min() >= 0.0 and x.sum() <= 1 + 1e-12,
             "is negative, NaN or sums above 1",
         )
+        t = horizon + 2
+        if not np.isfinite(total_load).all():
+            raise InvariantViolation(
+                f"total load is not finite (a NaN or infinite load): {total_load}"
+            )
     except Exception as exc:
         exc.step = t
         raise
@@ -115,8 +116,17 @@ def _reference_run(policy, source, horizon, stride=1):
     )
 
 
+def _update_both_ways(queue, alloc, load):
+    """_update's allocating result, checked bitwise against its out= form."""
+    work, after = _update(queue=queue, alloc=alloc, load=load)
+    out = (np.full_like(queue, np.nan), np.full_like(queue, np.nan))
+    assert all(got is buf for got, buf in zip(_update(queue, alloc, load, out=out), out))
+    assert np.array_equal(out[0], work) and np.array_equal(out[1], after)
+    return work, after
+
+
 def test_step_serves_from_load_plus_queue():
-    work, after = _update(
+    work, after = _update_both_ways(
         queue=np.array([0.0, 1.0]),
         alloc=np.array([0.5, 0.5]),
         load=np.array([1.0, 0.0]),
@@ -126,7 +136,7 @@ def test_step_serves_from_load_plus_queue():
 
 
 def test_step_never_serves_more_than_available():
-    work, after = _update(
+    work, after = _update_both_ways(
         queue=np.array([0.0, 0.0]),
         alloc=np.array([0.9, 0.1]),
         load=np.array([0.2, 0.0]),
@@ -195,25 +205,32 @@ def test_busy_idle_threshold_is_strict_above_tolerance():
 def test_run_rejects_a_nan_load():
     # Fails without the check: total_work came out [nan, 1.5] silently.
     source = _Rows([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])
-    with pytest.raises(InvariantViolation, match="total load is not finite"):
+    match = r"^row 0 \(static\): a load \[nan 0\.5\] at step 2 is negative or NaN$"
+    with pytest.raises(InvariantViolation, match=match):
+        run(StaticSla(SlaVector(np.array([0.5, 0.5]))), source, horizon=3)
+
+
+def test_run_rejects_an_infinite_load():
+    # An infinite load passes the block check's sign test; the load total
+    # after the loop catches it.
+    source = _Rows([[0.5, 0.5], [np.inf, 0.5], [0.5, 0.5]])
+    match = r"^row 0 \(static\): total load is not finite \(a NaN or infinite load\)"
+    with pytest.raises(InvariantViolation, match=match):
         run(StaticSla(SlaVector(np.array([0.5, 0.5]))), source, horizon=3)
 
 
 @pytest.mark.parametrize(
-    "stride, step, where",
-    [
-        (1, 2, r"a load \[-0\.5  0\.5\] at step 2"),
-        (7, 2, "a load between the kept steps"),
-        (7, 7, r"a load \[-0\.5  0\.5\] at step 7"),
-    ],
+    "stride, step",
+    [(1, 2), (7, 2), (7, 7)],
     ids=["stride1", "stride7-skipped", "stride7-kept"],
 )
-def test_run_rejects_a_negative_load(stride, step, where):
-    # Fails without the check: the run recorded work -0.5 for user 0.
+def test_run_rejects_a_negative_load(stride, step):
+    # Fails without the check: the run recorded work -0.5 for user 0.  At
+    # stride 7 step 2 is not kept, and is named all the same.
     rows = np.full((10, 2), 0.5)
     rows[step - 1] = (-0.5, 0.5)
     sla = SlaVector(np.array([0.5, 0.5]))
-    match = rf"^row 0 \(static\): {where} is negative$"
+    match = rf"^row 0 \(static\): a load \[-0\.5  0\.5\] at step {step} is negative or NaN$"
     with pytest.raises(InvariantViolation, match=match):
         run(StaticSla(sla), _Rows(rows), horizon=10, stride=stride)
 
@@ -235,11 +252,34 @@ def test_run_rejects_a_nan_allocation():
 def test_run_rejects_an_over_capacity_allocation(alloc, stride):
     # Fails without the check: (0.9, 0.9) completed 1.8 units of work per
     # step, and (-inf, 0.5) was reported as a NaN work total.  At stride 7
-    # steps 1-6 are not kept, so no step is named.
+    # step 1 is not kept, and is named all the same.
     source = PrecomputedLoads(np.ones((10, 2)))
-    where = "at step 1 " if stride == 1 else "between the kept steps"
-    with pytest.raises(InvariantViolation, match=rf"^row 0 \(recording\): .*{where}"):
+    match = r"^row 0 \(recording\): an allocation \[.*\] at step 1 is negative, NaN or"
+    with pytest.raises(InvariantViolation, match=match):
         run(_Recording(alloc), source, horizon=10, stride=stride)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 40])
+@pytest.mark.parametrize("fault", ["allocation", "load"])
+def test_a_fault_in_a_later_block_is_named_with_its_step(stride, fault):
+    # At N = 1000 one row's block is 8 steps, so step 20 lies in the third
+    # block and, at strides 7 and 40, is not kept.
+    n, horizon = 1000, 40
+    sla = SlaVector(np.full(n, 1.0 / n))
+    loads = np.full((horizon, n), 0.5 / n)
+    policy = StaticSla(sla)
+    if fault == "allocation":
+        bad = np.full(n, 1.0 / n)
+        bad[0] = -0.25
+        policy = _Late(n, 20, bad)
+    else:
+        loads[19, 0] = -0.25
+    match = (
+        rf"(?s)^row 0 \({policy.name}\): an? {fault} \[-0\.25 .*\] at step 20 "
+        r"is negative(, NaN or sums above 1| or NaN)$"
+    )
+    with pytest.raises(InvariantViolation, match=match):
+        run(policy, _Rows(loads), horizon=horizon, stride=stride)
 
 
 def _mw(n: int, monitor: bool = False) -> MultiplicativeWeights:
@@ -520,7 +560,8 @@ def test_run_batch_invariant_violation_names_the_row_and_policy():
         (OnlineWorkMaximizing(), _Rows(np.ones((3, 2)))),
         (OnlineProportional(sla), _Rows([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])),
     ]
-    with pytest.raises(InvariantViolation, match=r"^row 2 \(po\): total load is not finite"):
+    match = r"^row 2 \(po\): a load \[nan 0\.5\] at step 2 is negative or NaN$"
+    with pytest.raises(InvariantViolation, match=match):
         run_batch(rows, horizon=3)
 
 
