@@ -224,16 +224,16 @@ class _Recorder:
     """
 
     def __init__(self, horizon: int, stride: int, shape: tuple[int, int], matrices: list):
-        kept = np.arange(stride, horizon + 1, stride, dtype=np.int64)
-        if len(kept) == 0 or kept[-1] != horizon:
-            kept = np.append(kept, horizon)  # always retain the final step
+        steps = np.arange(stride, horizon + 1, stride, dtype=np.int64)
+        if len(steps) == 0 or steps[-1] != horizon:
+            steps = np.append(steps, horizon)  # always retain the final step
         self.horizon = horizon
         self.stride = stride
-        self.steps = kept
+        self.steps = steps
         self._matrices = matrices
         # alloc, work, queue, cum_work and, if some row has no load matrix, load.
         fields = 4 if all(x is not None for x in matrices) else 5
-        self.kept = np.empty((fields, len(kept), *shape))
+        self.kept = np.empty((fields, len(steps), *shape))
         self.alloc, self.work, self.queue, self.cum_work = self.kept[:4]
         self.load = self.kept[4] if fields == 5 else None
         # About 8192 values per field and block, so wide rows stay in cache.
