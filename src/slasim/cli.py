@@ -470,26 +470,26 @@ def _split_rows(pcs: list[PolicyConfig]) -> tuple[list, list]:
 
 
 def _run_group(pcs: list[PolicyConfig], source, cfg: ExperimentConfig) -> dict[str, _Finished]:
-    """Run a group of rows, the online ones as one lockstep batch and each
-    offline one as a replay of the shared loads, and finish each row where
-    its trace lives, so no per-step array leaves the process.  Under the
-    adversary (no shared source) each online row gets its own adversary."""
+    """Run a group of rows as one lockstep batch, online and offline rows
+    alike, and finish each row where its trace lives, so no per-step array
+    leaves the process.  Under the adversary (no shared source) each online
+    row gets its own adversary."""
     adversary = source is None
     shared = None if adversary else source.matrix[: cfg.horizon]
-    types = policies.POLICY_TYPES
-    online = [pc for pc in pcs if types[pc.type].build is not None]
-    built = [policies.make_policy(pc.type, cfg.sla, pc.params, cfg.assert_lemmas) for pc in online]
-    sources = [workloads.QueueAdversary() if adversary else source for _ in online]
-    traces = run_batch(zip(built, sources), cfg.horizon, stride=cfg.stride) if online else []
+    rows = []
+    for pc in pcs:
+        replay = policies.POLICY_TYPES[pc.type].replay
+        if replay is not None:
+            rows.append((replay(source, cfg.sla, pc.capacity), source))
+        else:
+            policy = policies.make_policy(pc.type, cfg.sla, pc.params, cfg.assert_lemmas)
+            rows.append((policy, workloads.QueueAdversary() if adversary else source))
+    traces = run_batch(rows, cfg.horizon, stride=cfg.stride) if rows else []
     finished = {}
-    for pc, trace, row_source in zip(online, traces, sources):
+    for pc, trace, (_, row_source) in zip(pcs, traces, rows):
         # An adversary run has stride 1, so its trace holds all its loads.
         own = (trace.load, len(row_source.phase_log)) if adversary else (shared, None)
         finished[pc.name] = _finish(pc, trace, *own, cfg)
-    for pc in pcs:
-        if types[pc.type].replay is not None:
-            trace = types[pc.type].replay(shared, cfg.sla, pc.capacity, cfg.stride)
-            finished[pc.name] = _finish(pc, trace, shared, None, cfg)
     return finished
 
 

@@ -18,14 +18,15 @@ row's allocation and pattern); then one update and one running sum serve
 all rows.  Every operation is elementwise per row, so a row's trace is bit
 for bit that of the row run alone.  `run` is the batch of one.
 
-The update is written once, in `_update`.  The engine, the offline
-greedies, the adversary's mirror of the queues and the windowed static
-re-simulation in `metrics` all apply it, so their queues agree bit for
-bit.  `_Recorder` keeps the trace rows for both the engine and the offline
-greedies: each step writes its rows in place into one slot of a block of
-steps, and after each block the recorder copies the kept steps out.  The
-engine checks each block once, so a bad allocation or load is named with
-its step at every stride and raised at the end of its block.
+The update is written once, in `_update`.  The engine, the adversary's
+mirror of the queues and the windowed static re-simulation in `metrics`
+apply it, and an offline greedy's row (`offline.OfflineRow`) mirrors its
+queue with the same arithmetic, so their queues agree bit for bit.
+`_Recorder` keeps the trace rows: each step writes its rows in place into
+one slot of a block of steps, and after each block the recorder copies
+the kept steps out.  The engine checks each block once, so a bad
+allocation or load is named with its step at every stride and raised at
+the end of its block, unless a row raised an error before then.
 
 `EMPTY_TOLERANCE` is the one busy/idle threshold: a queue counts as busy
 when it exceeds it.  It is a roundoff guard on the paper's "queue is
@@ -236,8 +237,8 @@ class _Recorder:
         self.kept = np.empty((fields, len(steps), *shape))
         self.alloc, self.work, self.queue, self.cum_work = self.kept[:4]
         self.load = self.kept[4] if fields == 5 else None
-        # About 8192 values per field and block, so wide rows stay in cache.
-        k = self.block = max(2, min(256, 8192 // (shape[0] * shape[1])))
+        # About 8192 values per field and block (wide rows stay in cache), at most horizon.
+        k = self.block = max(2, min(256, horizon, 8192 // (shape[0] * shape[1])))
         self.blocks = np.zeros((5, k, *shape))
         a, w, q, c, ld = self.blocks
         self.slots = [(a[s], w[s], q[s], ld[s], c[s], q[s - 1], c[s - 1]) for s in range(k)]
@@ -321,9 +322,8 @@ def _check_block(first: int, blocks: np.ndarray, loads: bool, names: list[str]) 
         for what, values, good, how in checks:
             if not good[:, r].all():
                 j = int(np.argmin(good[:, r]))
-                raise InvariantViolation(
-                    f"row {r} ({name}): {what} {values[j, r]} at step {first + j} {how}"
-                )
+                bad = f"{what} {np.array2string(values[j, r], threshold=16)} at step {first + j}"
+                raise InvariantViolation(f"row {r} ({name}): {bad} {how}")
 
 
 def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:

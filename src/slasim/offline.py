@@ -8,7 +8,8 @@ per-step capacity c can complete is
 
 and any schedule that completes min(c, pending work) every step attains
 it.  Both greedies below do exactly that and differ only in how they split
-capacity among users, which is irrelevant for the total.
+capacity among users, which is irrelevant for the total.  Each returns an
+`OfflineRow`, which `core.run_batch` steps and checks like any policy.
 
 The minimum in `offline_optimal_value` is the best "switch" dual of the
 matching LP (load weight 1 on steps 1..t, capacity price 1 after), so it
@@ -20,14 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from slasim.core import (
-    DegenerateSlaError,
-    SimulationTrace,
-    SlaVector,
-    _check_loads,
-    _Recorder,
-    _update,
-)
+from slasim.core import DegenerateSlaError, SlaVector, _check_loads
 
 
 def offline_optimal_value(loads: np.ndarray, eps: float = 0.0) -> float:
@@ -53,29 +47,34 @@ def _numpy_sum(values: list) -> float:
     return total
 
 
-def _offline_trace(loads: np.ndarray, name: str, serve, stride: int = 1) -> SimulationTrace:
-    """Walk the load matrix allocating `serve(pending) -> alloc` each step;
-    every alloc(i) is at most pending(i), so it is also the work done."""
-    horizon, n = loads.shape
-    rec = _Recorder(horizon, stride, (1, n), [loads])
-    for t in range(1, horizon + 1):
-        alloc, work, queue, _, cum, queue_before, cum_before = rec.slots[(t - 1) % rec.block]
-        load = loads[t - 1]
-        alloc[0] = serve(queue_before[0] + load)
-        _update(queue_before, alloc, load, out=(work, queue))
-        np.add(cum_before, work, out=cum)
-        if t % rec.block == 0 or t == horizon:
-            rec.store(t)
-    return rec.trace(0, name, cum[0], loads.sum(axis=0), queue[0])
+class OfflineRow:
+    """An offline schedule as a row of the matrix-backed source it was built
+    from.  Each step it allocates `serve(pending)`, at most pending(i) to
+    user i, from its own mirror of the queue, which repeats `_update`'s
+    arithmetic and so holds the engine's queue bit for bit.  It ignores `active`."""
+
+    def __init__(self, name: str, loads: np.ndarray, serve):
+        self.name, self._loads, self._serve = name, loads, serve
+
+    def reset(self, n_users: int) -> None:
+        self._queue = np.zeros(n_users)
+        self._rows = iter(self._loads)
+
+    def decide(self, active: np.ndarray) -> np.ndarray:
+        pending = self._queue + next(self._rows)
+        alloc = self._serve(pending)
+        self._queue = pending - np.minimum(alloc, pending)
+        return alloc
 
 
-def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> SimulationTrace:
+def simple_greedy(source, capacity: float = 1.0) -> OfflineRow:
     """Serve pending work user by user in index order, up to capacity.
 
     Completes min(capacity, total pending) work every step, hence attains
-    the offline optimum for per-step capacity `capacity`.
+    the offline optimum for per-step capacity `capacity`.  The schedule is
+    a row to run with its `source`: run(row, source, horizon).
     """
-    loads = _check_loads(loads)
+    loads = _check_loads(source.matrix)
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
 
@@ -83,12 +82,10 @@ def simple_greedy(loads: np.ndarray, capacity: float = 1.0, stride: int = 1) -> 
         before = np.cumsum(pending) - pending
         return np.clip(capacity - before, 0.0, pending)
 
-    return _offline_trace(loads, "simple_greedy", serve, stride)
+    return OfflineRow("simple_greedy", loads, serve)
 
 
-def proportional_greedy(
-    loads: np.ndarray, sla: SlaVector, capacity: float = 1.0, stride: int = 1
-) -> SimulationTrace:
+def proportional_greedy(source, sla: SlaVector, capacity: float = 1.0) -> OfflineRow:
     """Serve pending work while splitting capacity in proportion to SLAs.
 
     Each step, repeatedly: offer every backlogged user their SLA share of
@@ -106,7 +103,7 @@ def proportional_greedy(
     `_numpy_sum` of the still-backlogged shares, the bits of numpy's
     `beta[busy].sum()`, so the schedule is bitwise that of a numpy walk.
     """
-    loads = _check_loads(loads)
+    loads = _check_loads(source.matrix)
     if loads.shape[1] != sla.n:
         raise ValueError(f"loads have {loads.shape[1]} users but SLA has {sla.n}")
     if not (0.0 < capacity <= 1.0):
@@ -138,4 +135,4 @@ def proportional_greedy(
                 break
         return np.array(work)
 
-    return _offline_trace(loads, "pg", serve, stride)
+    return OfflineRow("pg", loads, serve)

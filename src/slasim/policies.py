@@ -213,7 +213,7 @@ class PolicyType(NamedTuple):
     keys: tuple  # config keys the type reads besides type
     weight: int  # relative cost of one row per step, for the CLI's split of the rows
     build: Optional[Callable] = None  # online: (sla, params, monitor_lemmas) -> policy
-    replay: Optional[Callable] = None  # offline: (loads, sla, capacity, stride) -> trace
+    replay: Optional[Callable] = None  # offline: (source, sla, capacity) -> row
 
 
 def _mw(proportional: bool) -> Callable:
@@ -230,7 +230,7 @@ POLICY_TYPES = {
     "owm": PolicyType((), 10, lambda sla, params, monitor: OnlineWorkMaximizing()),
     "pg": PolicyType(("capacity",), 10, replay=lambda *args: offline.proportional_greedy(*args)),
     "simple_greedy": PolicyType(
-        ("capacity",), 11, replay=lambda loads, sla, *rest: offline.simple_greedy(loads, *rest)
+        ("capacity",), 11, replay=lambda source, sla, cap: offline.simple_greedy(source, cap)
     ),
 }
 

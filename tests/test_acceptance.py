@@ -31,6 +31,7 @@ from slasim.metrics import sla_window_stats
 from slasim.offline import offline_optimal_value, proportional_greedy, simple_greedy
 from slasim.policies import MultiplicativeWeights, make_policy
 from slasim.workloads import (
+    PrecomputedLoads,
     QueueAdversary,
     bernoulli_gamma_fuzz,
     example1_instance,
@@ -97,30 +98,26 @@ def fuzz_corpus():
 
 @pytest.fixture(scope="module")
 def seeded_runs():
-    """Ten seeded synthetic experiments shared by criteria 6 and 7."""
+    """Ten seeded synthetic experiments shared by criteria 6 and 7.
+
+    Each seed steps the four online policies and the offline greedy at
+    capacities 1 (pg) and 0.98 (restpg) as one lockstep batch over the
+    shared loads, at stride 1 because sla_window_stats needs alg2's full
+    trace.
+    """
     sla = SlaVector(np.array([0.2, 0.3, 0.5]))
     params = PolicyParams(n_users=3, epsilon=0.02, eta=1.0 / 3.0)
     rows = []
     started = time.perf_counter()
     for seed in range(SEED_RUNS):
         source = synthetic_gamma(sla, horizon=SEED_HORIZON, seed=seed)
-        # The four online policies run as one lockstep batch over the shared
-        # loads, at stride 1 because sla_window_stats needs alg2's full trace.
         online = {"alg2": "mw_prop", "static": "static", "po": "po", "owm": "owm"}
         batch = [(make_policy(name, sla, params), source) for name in online.values()]
-        traces = dict(zip(online, run_batch(batch, horizon=SEED_HORIZON)))
+        batch += [(proportional_greedy(source, sla, cap), source) for cap in (1.0, 0.98)]
+        traces = dict(zip([*online, "pg", "restpg"], run_batch(batch, horizon=SEED_HORIZON)))
         alg2 = traces["alg2"]
         totals = {key: float(trace.total_work.sum()) for key, trace in traces.items()}
-        norms = {
-            key: float(np.sqrt((trace.final_queue**2).sum())) for key, trace in traces.items()
-        }
-        loads = source.matrix
-        totals["pg"] = float(
-            proportional_greedy(loads, sla, 1.0, stride=SEED_HORIZON).total_work.sum()
-        )
-        totals["restpg"] = float(
-            proportional_greedy(loads, sla, 0.98, stride=SEED_HORIZON).total_work.sum()
-        )
+        norms = {key: float(np.sqrt((traces[key].final_queue**2).sum())) for key in online}
         window_means = sla_window_stats(alg2, sla, tau=500, stride=100).means
         rows.append({"totals": totals, "norms": norms, "window_means": window_means})
     return {"rows": rows, "elapsed": time.perf_counter() - started}
@@ -196,8 +193,9 @@ def test_criterion_02_offline_routes_agree():
         sla = SlaVector(beta / beta.sum())
         for capacity in (1.0, 0.9):
             opt = offline_optimal_value(loads, eps=1.0 - capacity)
-            sg = simple_greedy(loads, capacity=capacity).total_work.sum()
-            pg = proportional_greedy(loads, sla, capacity=capacity).total_work.sum()
+            source = PrecomputedLoads(loads)
+            sg = run(simple_greedy(source, capacity), source, horizon).total_work.sum()
+            pg = run(proportional_greedy(source, sla, capacity), source, horizon).total_work.sum()
             worst = max(worst, abs(sg - opt), abs(pg - opt))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -215,7 +213,7 @@ def test_criterion_03_three_user_instance_totals():
         source = example1_instance(horizon)
         static = run(make_policy("static", example1_sla()), source, horizon=horizon,
                      stride=horizon)
-        pg = proportional_greedy(source.matrix, example1_sla(), stride=horizon)
+        pg = run(proportional_greedy(source, example1_sla()), source, horizon, stride=horizon)
         worst = max(
             worst,
             abs(static.total_work.sum() - 5.0 * horizon / 6.0),
@@ -409,7 +407,7 @@ def test_full_scale_synthetic_run():
     source = synthetic_gamma(sla, horizon=horizon, seed=0)
     alg2 = run(make_policy("mw_prop", sla, params), source, horizon=horizon, stride=150)
     static = run(make_policy("static", sla), source, horizon=horizon, stride=150)
-    pg = proportional_greedy(source.matrix, sla, stride=150)
+    pg = run(proportional_greedy(source, sla), source, horizon=horizon, stride=150)
     assert pg.total_work.sum() + 1e-6 >= alg2.total_work.sum()
     assert alg2.total_work.sum() > static.total_work.sum()
     for trace in (alg2, static):

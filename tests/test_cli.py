@@ -880,9 +880,10 @@ def test_offline_worker_outputs_match_library_calls(tmp_path, stride):
 
     loads = workloads.bernoulli_gamma_fuzz(3, 400, 11).matrix
     params = PolicyParams(n_users=3, epsilon=0.05, eta=0.3)
+    source = workloads.PrecomputedLoads(loads)
     traces = {
-        "pg": offline.proportional_greedy(loads, cfg.sla, stride=stride),
-        "sg": offline.simple_greedy(loads, 0.9, stride=stride),
+        "pg": run(offline.proportional_greedy(source, cfg.sla), source, 400, stride=stride),
+        "sg": run(offline.simple_greedy(source, 0.9), source, 400, stride=stride),
         "m": run(
             policies.make_policy("mw", cfg.sla, params),
             workloads.PrecomputedLoads(loads),
@@ -974,6 +975,27 @@ def test_every_split_of_the_rows_gives_the_same_outputs(tmp_path, case):
         assert parts.keys() == whole.keys()
         for name, done in whole.items():
             _same_finished(parts[name], done)
+
+
+def test_a_group_steps_all_its_rows_in_one_batch(tmp_path, monkeypatch):
+    # Online and offline rows alike, in config order; an empty group steps none.
+    calls = []
+
+    def counted(rows, horizon, **kwargs):
+        rows = list(rows)
+        calls.append([policy.name for policy, _ in rows])
+        return _RUN_BATCH(rows, horizon, **kwargs)
+
+    cfg = _group_configs(tmp_path)["mixed"]
+    os.makedirs(cfg.output_dir)
+    monkeypatch.setattr(cli, "run_batch", counted)
+    source = cli._build_source(cfg)
+    assert list(cli._run_group(cfg.policies, source, cfg)) == ["pg", "sg", "m", "o"]
+    assert cli._run_group([], source, cfg) == {}
+    assert calls == [["pg", "simple_greedy", "mw", "owm"]]
+
+
+_RUN_BATCH = cli.run_batch
 
 
 def test_split_rows_is_longest_first_over_the_type_weights():

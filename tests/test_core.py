@@ -17,7 +17,7 @@ from slasim import (
     run,
     run_batch,
 )
-from slasim.core import EMPTY_TOLERANCE, _update
+from slasim.core import EMPTY_TOLERANCE, _Recorder, _update
 from slasim.offline import proportional_greedy, simple_greedy
 from slasim.policies import (
     POLICY_TYPES,
@@ -263,7 +263,8 @@ def test_run_rejects_an_over_capacity_allocation(alloc, stride):
 @pytest.mark.parametrize("fault", ["allocation", "load"])
 def test_a_fault_in_a_later_block_is_named_with_its_step(stride, fault):
     # At N = 1000 one row's block is 8 steps, so step 20 lies in the third
-    # block and, at strides 7 and 40, is not kept.
+    # block and, at strides 7 and 40, is not kept.  The message stays on one
+    # line, with the offending row summarized.
     n, horizon = 1000, 40
     sla = SlaVector(np.full(n, 1.0 / n))
     loads = np.full((horizon, n), 0.5 / n)
@@ -275,11 +276,48 @@ def test_a_fault_in_a_later_block_is_named_with_its_step(stride, fault):
     else:
         loads[19, 0] = -0.25
     match = (
-        rf"(?s)^row 0 \({policy.name}\): an? {fault} \[-0\.25 .*\] at step 20 "
+        rf"^row 0 \({policy.name}\): an? {fault} \[-0\.25 .*\] at step 20 "
         r"is negative(, NaN or sums above 1| or NaN)$"
     )
-    with pytest.raises(InvariantViolation, match=match):
+    with pytest.raises(InvariantViolation, match=match) as err:
         run(policy, _Rows(loads), horizon=horizon, stride=stride)
+    assert "\n" not in str(err.value) and "..." in str(err.value)
+
+
+class _RaiseAt(_Late):
+    """Splits the resource evenly up to step `step - 1`, then raises."""
+
+    name = "raising"
+
+    def decide(self, active):
+        even = super().decide(active)
+        if self.t >= self.step:
+            raise RuntimeError(f"raised at step {self.t}")
+        return even
+
+
+@pytest.mark.parametrize(
+    "raise_at, wins, match",
+    [
+        (3, RuntimeError, r"^raised at step 3$"),
+        (6, InvariantViolation, r"^row 0 \(late\): an allocation \[-0\.25 .*\] at step 2 "),
+    ],
+    ids=["same-block", "later-block"],
+)
+def test_a_block_fault_and_a_later_row_error_surface_in_step_order(raise_at, wins, match):
+    # B = 2 rows at N = 1000 make blocks of K = 4 steps.  Row 0's allocation
+    # goes bad at step 2, which the engine names at the end of block 1 (step
+    # 4); row 1 raises mid-loop.  At step 3 it raises before that check and
+    # wins; at step 6 the check has already raised.
+    n, horizon = 1000, 8
+    assert _Recorder(horizon, 1, (2, n), [None, None]).block == 4
+    bad = np.full(n, 1.0 / n)
+    bad[0] = -0.25
+    source = PrecomputedLoads(np.full((horizon, n), 0.5 / n))
+    rows = [(_Late(n, 2, bad), source), (_RaiseAt(n, raise_at, None), source)]
+    with pytest.raises(RuntimeError, match=match) as err:  # InvariantViolation is one
+        run_batch(rows, horizon=horizon)
+    assert type(err.value) is wins
 
 
 def _mw(n: int, monitor: bool = False) -> MultiplicativeWeights:
@@ -344,11 +382,12 @@ _THIN_SLA = SlaVector(np.array([0.2, 0.3, 0.5]))
     [
         pytest.param(lambda src, stride: run(_mw(3), src, horizon=100, stride=stride), id="mw"),
         pytest.param(
-            lambda src, stride: proportional_greedy(src.matrix, _THIN_SLA, stride=stride),
+            lambda src, stride: run(proportional_greedy(src, _THIN_SLA), src, 100, stride=stride),
             id="proportional_greedy",
         ),
         pytest.param(
-            lambda src, stride: simple_greedy(src.matrix, 0.9, stride=stride), id="simple_greedy"
+            lambda src, stride: run(simple_greedy(src, 0.9), src, 100, stride=stride),
+            id="simple_greedy",
         ),
     ],
 )
@@ -369,6 +408,11 @@ def test_stride_thinning_keeps_final_step_and_aggregates(schedule):
         assert np.array_equal(getattr(thin, field), getattr(full, field)[rows]), field
 
 
+def _pg_run(matrix):
+    source = PrecomputedLoads(matrix)
+    return run(proportional_greedy(source, _THIN_SLA), source, horizon=100)
+
+
 def test_a_one_step_run_is_full_at_any_stride():
     trace = run(StaticSla(_THIN_SLA), PrecomputedLoads(np.ones((1, 3))), horizon=1, stride=7)
     assert np.array_equal(trace.steps, [1]) and trace.is_full
@@ -380,7 +424,7 @@ def test_a_one_step_run_is_full_at_any_stride():
         pytest.param(
             lambda m: run(StaticSla(_THIN_SLA), PrecomputedLoads(m), horizon=80), id="run"
         ),
-        pytest.param(lambda m: proportional_greedy(m, _THIN_SLA), id="proportional_greedy"),
+        pytest.param(_pg_run, id="proportional_greedy"),
     ],
 )
 def test_matrix_backed_trace_load_is_a_read_only_view(schedule):
@@ -412,11 +456,12 @@ def _batches(draw):
     """A batch: horizon, stride and, per row, its policy name and a factory
     of fresh (policy, source) pairs.
 
-    Rows mix every online type in POLICY_TYPES (mw and mw_prop monitored or
-    not) over up to three load matrices, shared or separate; in about half
-    the batches N is 2 and one row is driven by its own QueueAdversary.
-    Half the batches allow zero SLA shares, so po can raise
-    DegenerateSlaError and the error path is compared too.  Half the
+    Rows mix every type in POLICY_TYPES (mw and mw_prop monitored or not,
+    the offline greedies at capacity 1 or 0.9) over up to three load
+    matrices, shared or separate; in about half the batches N is 2 and one
+    online row is driven by its own QueueAdversary.  Half the batches allow
+    zero SLA shares, so po and pg can raise DegenerateSlaError and the
+    error path is compared too.  Half the
     batches gain a faulty row at a random place, from a random step on: a
     policy returning a bad allocation, or an adaptive source yielding a
     negative or NaN load.  So the checks after the loop are compared too.
@@ -443,7 +488,7 @@ def _batches(draw):
     ]
     b = draw(st.integers(1, 5))
     specs = [
-        (draw(st.sampled_from(_ONLINE_TYPES)), draw(st.booleans()), draw(st.integers(0, 2)))
+        (draw(st.sampled_from(list(POLICY_TYPES))), draw(st.booleans()), draw(st.integers(0, 2)))
         for _ in range(b)
     ]
     if adversary:
@@ -453,6 +498,9 @@ def _batches(draw):
 
     def row(spec):
         name, monitor, k = spec
+        replay = POLICY_TYPES[name].replay
+        if replay is not None:
+            return replay(matrices[k], sla, 0.9 if monitor else 1.0), matrices[k]
         policy = make_policy(name, sla, params, monitor_lemmas=monitor)
         return policy, QueueAdversary() if k is None else matrices[k]
 

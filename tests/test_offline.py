@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slasim import PolicyParams, SlaVector, run_batch
-from slasim.core import DegenerateSlaError, _check_loads
+from slasim import PolicyParams, SlaVector, run, run_batch
+from slasim.core import DegenerateSlaError, _check_loads, _update
 from slasim.offline import (
+    OfflineRow,
     _numpy_sum,
-    _offline_trace,
     offline_optimal_value,
     proportional_greedy,
     simple_greedy,
@@ -25,7 +25,14 @@ from slasim.workloads import PrecomputedLoads
 from duals import switch_dual_bound
 
 
-def _reference_proportional_greedy(loads, sla, capacity=1.0, stride=1):
+def _replay(greedy, loads, *args, stride=1):
+    """The trace of an offline greedy over `loads`: run(row, source, T) of
+    the row it returns for a source of those loads."""
+    source = PrecomputedLoads(loads)
+    return run(greedy(source, *args), source, source.horizon, stride=stride)
+
+
+def _reference_proportional_greedy(source, sla, capacity=1.0):
     """proportional_greedy as an argmin over every user in each round.
 
     proportional_greedy walks one stable sort of the backlogged users
@@ -33,7 +40,7 @@ def _reference_proportional_greedy(loads, sla, capacity=1.0, stride=1):
     forever once every backlogged ratio overflows to inf, so keep ratios
     finite when calling it.
     """
-    loads = _check_loads(loads)
+    loads = _check_loads(source.matrix)
     beta = sla.beta
     positive = beta > 0.0
     all_positive = bool(positive.all())
@@ -67,7 +74,7 @@ def _reference_proportional_greedy(loads, sla, capacity=1.0, stride=1):
                 left = 0.0
         return work
 
-    return _offline_trace(loads, "pg", serve, stride)
+    return OfflineRow("pg", loads, serve)
 
 
 def test_optimal_value_hand_cases():
@@ -93,13 +100,13 @@ def test_optimal_value_validates_inputs():
 
 
 def test_simple_greedy_serves_in_index_order():
-    trace = simple_greedy(np.array([[0.7, 0.7]]))
+    trace = _replay(simple_greedy, np.array([[0.7, 0.7]]))
     assert np.allclose(trace.work[0], [0.7, 0.3], atol=1e-15)
     assert np.allclose(trace.final_queue, [0.0, 0.4], atol=1e-15)
 
 
 def test_simple_greedy_rolls_backlog_forward():
-    trace = simple_greedy(np.array([[0.7, 0.7], [0.0, 0.0]]))
+    trace = _replay(simple_greedy, np.array([[0.7, 0.7], [0.0, 0.0]]))
     assert np.allclose(trace.work[1], [0.0, 0.4], atol=1e-15)
     assert trace.total_work.sum() == pytest.approx(1.4)
 
@@ -108,20 +115,20 @@ def test_proportional_greedy_hand_execution():
     # Equal shares, loads (0.1, 2.0): the tightest user finishes their 0.1
     # outright and the rest of the capacity goes to the other user.
     sla = SlaVector(np.array([0.5, 0.5]))
-    trace = proportional_greedy(np.array([[0.1, 2.0]]), sla)
+    trace = _replay(proportional_greedy, np.array([[0.1, 2.0]]), sla)
     assert np.allclose(trace.work[0], [0.1, 0.9], atol=1e-15)
 
     # Shares (0.2, 0.3, 0.5), loads (0.4, 0.4, 0.4): user 3 finishes fully,
     # then the leftover 0.6 splits 2:3 between the still-busy users.
     sla = SlaVector(np.array([0.2, 0.3, 0.5]))
-    trace = proportional_greedy(np.array([[0.4, 0.4, 0.4]]), sla)
+    trace = _replay(proportional_greedy, np.array([[0.4, 0.4, 0.4]]), sla)
     assert np.allclose(trace.work[0], [0.24, 0.36, 0.4], atol=1e-12)
     assert np.allclose(trace.final_queue, [0.16, 0.04, 0.0], atol=1e-12)
 
 
 def test_proportional_greedy_respects_capacity():
     sla = SlaVector(np.array([0.5, 0.5]))
-    trace = proportional_greedy(np.array([[2.0, 2.0]]), sla, capacity=0.9)
+    trace = _replay(proportional_greedy, np.array([[2.0, 2.0]]), sla, 0.9)
     assert trace.work[0].sum() == pytest.approx(0.9, abs=1e-12)
     assert np.allclose(trace.work[0], [0.45, 0.45], atol=1e-12)
 
@@ -130,7 +137,7 @@ def test_proportional_greedy_degenerate_shares():
     sla = SlaVector(np.array([0.0, 1.0]))
     # Only the zero-share user is backlogged and capacity remains.
     with pytest.raises(DegenerateSlaError):
-        proportional_greedy(np.array([[0.5, 0.0], [0.5, 0.0]]), sla)
+        _replay(proportional_greedy, np.array([[0.5, 0.0], [0.5, 0.0]]), sla)
 
 
 def test_proportional_greedy_returns_when_a_ratio_overflows():
@@ -144,8 +151,8 @@ def test_proportional_greedy_returns_when_a_ratio_overflows():
     signal.alarm(10)
     try:
         with np.errstate(over="ignore"):
-            trace = proportional_greedy(
-                np.array([[0.0, 1e10]]), SlaVector(np.array([0.5, 1e-300]))
+            trace = _replay(
+                proportional_greedy, np.array([[0.0, 1e10]]), SlaVector(np.array([0.5, 1e-300]))
             )
     finally:
         signal.alarm(0)
@@ -169,6 +176,29 @@ def test_numpy_sum_matches_numpy_bitwise():
             want = float(picked.sum())
             assert _numpy_sum(picked.tolist()) == want, (n, picked)
             assert _numpy_sum(beta.tolist()) == float(beta.sum()), (n, beta)
+
+
+def test_offline_row_queue_mirror_is_update_bitwise(rng):
+    # The row serves from its own mirror of the queue; it must be the
+    # engine's _update(queue, alloc, load) bit for bit, also for an
+    # allocation one ulp above the pending work.
+    for _ in range(500):
+        n = int(rng.integers(1, 10))
+        busy = rng.random((2, n)) < 0.7
+        queue, load = rng.exponential(rng.choice([1e-3, 0.3, 5.0]), (2, n)) * busy
+        pending = queue + load
+        for alloc in (
+            rng.uniform(0.0, 1.5, n) * pending,
+            pending.copy(),
+            np.nextafter(pending, np.inf),
+            np.zeros(n),
+            rng.uniform(0.0, 1.0, n),
+        ):
+            row = OfflineRow("probe", load[None], lambda p, alloc=alloc: alloc)
+            row.reset(n)
+            row._queue = queue.copy()
+            assert row.decide(None) is alloc
+            assert row._queue.tobytes() == _update(queue, alloc, load)[1].tobytes()
 
 
 @st.composite
@@ -205,9 +235,9 @@ def pg_instances(draw):
     return loads, SlaVector(beta), capacity, stride
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except DegenerateSlaError as exc:
         return exc
 
@@ -216,8 +246,8 @@ def _outcome(fn, *args):
 @given(instance=pg_instances())
 def test_proportional_greedy_matches_argmin_reference_bitwise(instance):
     loads, sla, capacity, stride = instance
-    got = _outcome(proportional_greedy, loads, sla, capacity, stride)
-    want = _outcome(_reference_proportional_greedy, loads, sla, capacity, stride)
+    got = _outcome(_replay, proportional_greedy, loads, sla, capacity, stride=stride)
+    want = _outcome(_replay, _reference_proportional_greedy, loads, sla, capacity, stride=stride)
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return
@@ -240,8 +270,8 @@ def test_greedies_match_closed_form_optimum(rng):
         sla = SlaVector(beta / beta.sum())
         for capacity in (1.0, 0.9):
             opt = offline_optimal_value(loads, eps=1.0 - capacity)
-            sg = simple_greedy(loads, capacity=capacity).total_work.sum()
-            pg = proportional_greedy(loads, sla, capacity=capacity).total_work.sum()
+            sg = _replay(simple_greedy, loads, capacity).total_work.sum()
+            pg = _replay(proportional_greedy, loads, sla, capacity).total_work.sum()
             assert sg == pytest.approx(opt, abs=1e-9)
             assert pg == pytest.approx(opt, abs=1e-9)
 
@@ -250,7 +280,7 @@ def test_total_work_is_monotone_in_capacity(rng):
     loads = rng.uniform(0.0, 1.0, size=(25, 3))
     sla = SlaVector(np.array([0.2, 0.3, 0.5]))
     totals = [
-        proportional_greedy(loads, sla, capacity=c).total_work.sum()
+        _replay(proportional_greedy, loads, sla, c).total_work.sum()
         for c in (0.5, 0.7, 0.9, 1.0)
     ]
     assert np.all(np.diff(totals) >= -1e-12)
