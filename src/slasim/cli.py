@@ -24,9 +24,11 @@ be 1, so every policy's work is checked against its own offline optimum.
 per requested metric series, and a `summary` file of key=value lines.
 
 `run` uses up to 2 CPUs: one worker process runs group 1 of the policies
-while this process runs group 0.  _split_rows forms the groups statically,
-longest first over the POLICY_TYPES weights (mw and mw_prop 15,
-simple_greedy 11, pg, po and owm 10, static 4).  Rows are independent, so
+while this process runs group 0.  Each group finishes its own rows in
+_finish (work <= offline optimum, CSVs, summary entries), so only summary
+parts and cumulative series come back.  _split_rows forms the groups
+statically, longest first over the POLICY_TYPES weights (mw and mw_prop
+15, simple_greedy 11, pg, po and owm 10, static 4).  Rows are independent, so
 any split writes the same bytes.  A config of one policy starts no worker,
 an error in group 0 wins over one in group 1 and stops the worker at once,
 and the benchmark's tracer sees only this process, not the worker's spans.
@@ -373,75 +375,53 @@ def _build_source(cfg: ExperimentConfig):
     return cfg.trace
 
 
-_CSV_BLOCK_ROWS = 4096
-
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_series(path: str, report: metrics_mod.SeriesReport) -> None:
-    # Each value is written as the repr of a Python float, as _format does.
-    # Rows are formatted a block at a time, so memory stays flat on long series.
-    steps = np.asarray(report.steps)
-    values = np.asarray(report.values, dtype=np.float64)
-    if values.ndim == 1:
-        header = "t,value"
-        row = "{},{!r}\n".format
-    else:
-        header = "t," + ",".join(f"user{i + 1}" for i in range(values.shape[1]))
-
-        def row(t, vals):
-            return f"{t}," + ",".join(map(repr, vals)) + "\n"
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
-            block = slice(lo, lo + _CSV_BLOCK_ROWS)
-            fh.write("".join(map(row, steps[block].tolist(), values[block].tolist())))
-
-
 class _Finished(NamedTuple):
     """One policy's summary entries, by the part of the summary they sit in,
-    its cumulative work if a work difference names the policy, and its
-    adversary phases and offline optima."""
+    and its cumulative work if a work difference names the policy."""
 
     totals: dict
+    optima: dict
     norms: dict
     window: dict
     cumulative: Optional[metrics_mod.SeriesReport]
-    phases: Optional[int]  # adversary rows
-    optimum_eps0: Optional[float]  # adversary rows: of the row's own loads
-    optimum_rest: Optional[float]  # mw and mw_prop rows: at the policy's epsilon
 
 
-def _finish(pc: PolicyConfig, trace: SimulationTrace, loads, phases, cfg) -> _Finished:
-    """Write one policy's CSVs, and its SLA window CSV if it is the window
-    target, and return what the summary and the work differences need."""
-    name = pc.name
-    prefix = f"policy.{name}"
-    totals = {
-        f"{prefix}.total_work": float(trace.total_work.sum()),
-        f"{prefix}.final_queue_l1": float(trace.final_queue.sum()),
-        f"{prefix}.final_queue_l2": float(np.sqrt((trace.final_queue**2).sum())),
-    }
+def _finish(pc: PolicyConfig, trace: SimulationTrace, source, opt0, cfg) -> _Finished:
+    """Check one policy's work against the eps=0 offline optimum, write its
+    CSVs, and its SLA window CSV if it is the window target, and return
+    what the summary and the work differences need.  opt0 is the optimum
+    of the shared loads, or None under the adversary, where the row's own
+    loads give it (at stride 1 its trace holds all of them)."""
+    name, prefix = pc.name, f"policy.{pc.name}"
+    loads = trace.load if opt0 is None else source.matrix[: cfg.horizon]
+    total = float(trace.total_work.sum())
+    totals, optima, window = {}, {}, {}
+    if opt0 is None:
+        totals[f"{prefix}.adversary_phases"] = len(source.phase_log)
+        opt0 = optima[f"{prefix}.offline_optimal_eps0"] = offline.offline_optimal_value(loads, 0.0)
+        optima[f"{prefix}.offline_gap"] = opt0 - total
+    if total > opt0 + WORK_CAP_SLACK:
+        raise InvariantViolation(
+            f"policy {name} reports {total} work, above the offline optimum {opt0}"
+        )
+    if pc.params is not None:
+        rest = offline.offline_optimal_value(loads, pc.params.epsilon)
+        optima[f"{prefix}.offline_optimal_rest"] = rest
     cumulative = metrics_mod.cumulative_work(trace)
-    _write_series(os.path.join(cfg.output_dir, f"cumulative_work_{name}.csv"), cumulative)
+    _write(cfg, f"cumulative_work_{name}.csv", cumulative.steps, cumulative.values)
     report = metrics_mod.queue_two_norm(trace)
-    _write_series(os.path.join(cfg.output_dir, f"queue_two_norm_{name}.csv"), report)
+    _write(cfg, f"queue_two_norm_{name}.csv", report.steps, report.values)
+    totals[f"{prefix}.type"] = pc.type
+    totals[f"{prefix}.total_work"] = total
+    totals[f"{prefix}.final_queue_l1"] = float(trace.final_queue.sum())
+    totals[f"{prefix}.final_queue_l2"] = report.metadata["final"]
     norms = {
         f"{prefix}.queue_l2_final": report.metadata["final"],
         f"{prefix}.queue_l2_time_avg": report.metadata["time_average"],
     }
-    window = {}
     if name == cfg.sla_window_policy:
         stats = metrics_mod.sla_window_stats(trace, cfg.sla, cfg.tau, cfg.window_stride)
-        report = metrics_mod.SeriesReport(
-            name=f"sla_window[{name}]", steps=stats.starts, values=stats.gaps
-        )
-        _write_series(os.path.join(cfg.output_dir, f"sla_window_{name}.csv"), report)
+        _write(cfg, f"sla_window_{name}.csv", stats.starts, stats.gaps)
         window[f"{prefix}.sla_window.tau"] = stats.tau
         window[f"{prefix}.sla_window.stride"] = stats.stride
         for i in range(cfg.sla.n):
@@ -451,11 +431,12 @@ def _finish(pc: PolicyConfig, trace: SimulationTrace, loads, phases, cfg) -> _Fi
             window[f"{prefix}.sla_window.user{i + 1}.std"] = float(stats.stds[i])
     # Only work differences read the series afterwards; leaving the others
     # out keeps them from being held or sent back from the worker.
-    if not any(name in pair for pair in cfg.work_difference):
-        cumulative = None
-    rest = None if pc.params is None else offline.offline_optimal_value(loads, pc.params.epsilon)
-    eps0 = None if phases is None else offline.offline_optimal_value(loads, 0.0)
-    return _Finished(totals, norms, window, cumulative, phases, eps0, rest)
+    kept = any(name in pair for pair in cfg.work_difference)
+    return _Finished(totals, optima, norms, window, cumulative if kept else None)
+
+
+def _write(cfg: ExperimentConfig, name: str, steps, values) -> None:
+    workloads.write_csv(os.path.join(cfg.output_dir, name), steps, values)
 
 
 def _split_rows(pcs: list[PolicyConfig]) -> tuple[list, list]:
@@ -469,13 +450,13 @@ def _split_rows(pcs: list[PolicyConfig]) -> tuple[list, list]:
     return tuple([pc for pc in pcs if group[pc.name] == g] for g in (0, 1))
 
 
-def _run_group(pcs: list[PolicyConfig], source, cfg: ExperimentConfig) -> dict[str, _Finished]:
+def _run_group(
+    pcs: list[PolicyConfig], source, opt0: Optional[float], cfg: ExperimentConfig
+) -> dict[str, _Finished]:
     """Run a group of rows as one lockstep batch, online and offline rows
     alike, and finish each row where its trace lives, so no per-step array
-    leaves the process.  Under the adversary (no shared source) each online
-    row gets its own adversary."""
-    adversary = source is None
-    shared = None if adversary else source.matrix[: cfg.horizon]
+    leaves the process.  Under the adversary (no shared source, so no
+    shared optimum opt0) each online row gets its own adversary."""
     rows = []
     for pc in pcs:
         replay = policies.POLICY_TYPES[pc.type].replay
@@ -483,14 +464,12 @@ def _run_group(pcs: list[PolicyConfig], source, cfg: ExperimentConfig) -> dict[s
             rows.append((replay(source, cfg.sla, pc.capacity), source))
         else:
             policy = policies.make_policy(pc.type, cfg.sla, pc.params, cfg.assert_lemmas)
-            rows.append((policy, workloads.QueueAdversary() if adversary else source))
+            rows.append((policy, workloads.QueueAdversary() if source is None else source))
     traces = run_batch(rows, cfg.horizon, stride=cfg.stride) if rows else []
-    finished = {}
-    for pc, trace, (_, row_source) in zip(pcs, traces, rows):
-        # An adversary run has stride 1, so its trace holds all its loads.
-        own = (trace.load, len(row_source.phase_log)) if adversary else (shared, None)
-        finished[pc.name] = _finish(pc, trace, *own, cfg)
-    return finished
+    return {
+        pc.name: _finish(pc, trace, row_source, opt0, cfg)
+        for pc, trace, (_, row_source) in zip(pcs, traces, rows)
+    }
 
 
 def _group_job(writer, *args) -> None:
@@ -506,19 +485,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     process runs group 1 of _split_rows while this process runs group 0."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     source = _build_source(cfg)
+    # Under the adversary each row finds the optimum of its own loads.
+    opt0 = None if source is None else offline.offline_optimal_value(source.matrix[: cfg.horizon])
     here, there = _split_rows(cfg.policies)
     if not there:
-        finished = _run_group(here, source, cfg)
+        finished = _run_group(here, source, opt0, cfg)
     else:
         # Imported here: a config of one policy never loads multiprocessing.
         # Terminating the worker on the way out stops group 1 if group 0 fails.
         from multiprocessing import Pipe, Process
         reader, writer = Pipe(duplex=False)
-        worker = Process(target=_group_job, args=(writer, there, source, cfg))
+        worker = Process(target=_group_job, args=(writer, there, source, opt0, cfg))
         worker.start()
         writer.close()  # recv raises EOFError if the worker dies without a word
         try:
-            finished = _run_group(here, source, cfg)
+            finished = _run_group(here, source, opt0, cfg)
             result = reader.recv()
         finally:
             worker.terminate()
@@ -533,43 +514,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "n_users": cfg.sla.n,
         "seed": cfg.seed,
     }
-    for pc in cfg.policies:
-        done = finished[pc.name]
-        if done.phases is not None:
-            summary[f"policy.{pc.name}.adversary_phases"] = done.phases
-        summary[f"policy.{pc.name}.type"] = pc.type
-        summary.update(done.totals)
-
-    # Under the adversary each row's group computed its own eps=0 optimum.
-    if source is not None:
-        opt0 = offline.offline_optimal_value(source.matrix[: cfg.horizon], 0.0)
+    rows = [finished[pc.name] for pc in cfg.policies]
+    for row in rows:
+        summary.update(row.totals)
+    if opt0 is not None:
         summary["offline_optimal_eps0"] = opt0
-    for pc in cfg.policies:
-        done = finished[pc.name]
-        total = done.totals[f"policy.{pc.name}.total_work"]
-        if done.optimum_eps0 is not None:
-            opt0 = done.optimum_eps0
-            summary[f"policy.{pc.name}.offline_optimal_eps0"] = opt0
-            summary[f"policy.{pc.name}.offline_gap"] = opt0 - total
-        if done.optimum_rest is not None:
-            summary[f"policy.{pc.name}.offline_optimal_rest"] = done.optimum_rest
-        if total > opt0 + WORK_CAP_SLACK:
-            raise InvariantViolation(
-                f"policy {pc.name} reports {total} work, above the offline optimum {opt0}"
-            )
-
-    for pc in cfg.policies:
-        summary.update(finished[pc.name].norms)
+    for row in rows:
+        summary.update(row.optima)
+    for row in rows:
+        summary.update(row.norms)
     for a, b in cfg.work_difference:
         report = metrics_mod.work_difference(finished[a].cumulative, finished[b].cumulative)
-        _write_series(os.path.join(cfg.output_dir, f"work_difference_{a}_{b}.csv"), report)
+        _write(cfg, f"work_difference_{a}_{b}.csv", report.steps, report.values)
         summary[f"work_difference.{a}.{b}.final"] = report.metadata["final"]
-    if cfg.sla_window_policy is not None:
-        summary.update(finished[cfg.sla_window_policy].window)
+    for row in rows:
+        summary.update(row.window)
 
     with open(os.path.join(cfg.output_dir, "summary"), "w", encoding="utf-8") as fh:
         for key, value in summary.items():
-            fh.write(f"{key}={_format(value)}\n")
+            fh.write(f"{key}={value}\n")
     return summary
 
 

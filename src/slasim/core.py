@@ -281,8 +281,9 @@ class _Recorder:
 
 def _check_rows(rows: list, names: list[str]) -> int:
     """The users count all rows share; raises ValueError for an empty batch,
-    rows that disagree on it, and an object that would carry state across
-    rows: one policy, or one adaptive source (no `matrix`), in two rows."""
+    rows that disagree on it, a schedule replaying a `source` other than its
+    row's, and an object that would carry state across rows: one policy,
+    or one adaptive source (no `matrix`), in two rows."""
     if not rows:
         raise ValueError("run_batch needs at least one (policy, source) row")
     n = int(rows[0][1].n_users)
@@ -293,6 +294,8 @@ def _check_rows(rows: list, names: list[str]) -> int:
                 f"rows 0 ({names[0]}) and {r} ({names[r]}) disagree on n_users: "
                 f"{n} and {source.n_users}"
             )
+        if getattr(policy, "source", source) is not source:
+            raise ValueError(f"row {r} ({names[r]}) replays another load source than its own")
         stateful = [(policy, "policy")]
         if getattr(source, "matrix", None) is None:
             stateful.append((source, "adaptive load source"))

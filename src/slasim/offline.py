@@ -49,16 +49,17 @@ def _numpy_sum(values: list) -> float:
 
 class OfflineRow:
     """An offline schedule as a row of the matrix-backed source it was built
-    from.  Each step it allocates `serve(pending)`, at most pending(i) to
+    from, which it keeps as `source`; the engine refuses to pair it with
+    another.  Each step it allocates `serve(pending)`, at most pending(i) to
     user i, from its own mirror of the queue, which repeats `_update`'s
     arithmetic and so holds the engine's queue bit for bit.  It ignores `active`."""
 
-    def __init__(self, name: str, loads: np.ndarray, serve):
-        self.name, self._loads, self._serve = name, loads, serve
+    def __init__(self, name: str, source, serve):
+        self.name, self.source, self._serve = name, source, serve
 
     def reset(self, n_users: int) -> None:
         self._queue = np.zeros(n_users)
-        self._rows = iter(self._loads)
+        self._rows = iter(self.source.matrix)
 
     def decide(self, active: np.ndarray) -> np.ndarray:
         pending = self._queue + next(self._rows)
@@ -74,7 +75,7 @@ def simple_greedy(source, capacity: float = 1.0) -> OfflineRow:
     the offline optimum for per-step capacity `capacity`.  The schedule is
     a row to run with its `source`: run(row, source, horizon).
     """
-    loads = _check_loads(source.matrix)
+    _check_loads(source.matrix)
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
 
@@ -82,7 +83,7 @@ def simple_greedy(source, capacity: float = 1.0) -> OfflineRow:
         before = np.cumsum(pending) - pending
         return np.clip(capacity - before, 0.0, pending)
 
-    return OfflineRow("simple_greedy", loads, serve)
+    return OfflineRow("simple_greedy", source, serve)
 
 
 def proportional_greedy(source, sla: SlaVector, capacity: float = 1.0) -> OfflineRow:
@@ -135,4 +136,4 @@ def proportional_greedy(source, sla: SlaVector, capacity: float = 1.0) -> Offlin
                 break
         return np.array(work)
 
-    return OfflineRow("pg", loads, serve)
+    return OfflineRow("pg", source, serve)

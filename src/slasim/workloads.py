@@ -148,17 +148,34 @@ def bernoulli_gamma_fuzz(n_users: int, horizon: int, seed: int) -> PrecomputedLo
     return PrecomputedLoads(np.where(bursts, sizes, 0.0))
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, steps, values) -> None:
+    """Write values by step as CSV: header t,value for a series or
+    t,user1,...,userN for N columns, each value the repr of a Python float,
+    which reads back exactly.  Rows are formatted a block at a time, so
+    memory stays flat on long series."""
+    steps = np.asarray(steps)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        header, values = "t,value", values[:, None]
+    else:
+        header = "t," + ",".join(f"user{i + 1}" for i in range(values.shape[1]))
+    row = ("{}" + ",{!r}" * values.shape[1] + "\n").format
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = slice(lo, lo + _CSV_BLOCK_ROWS)
+            fh.write("".join(map(row, steps[block].tolist(), *values[block].T.tolist())))
+
+
 def write_trace_csv(path, matrix: np.ndarray) -> None:
-    """Write a T x N load matrix as CSV: header t,user1,...,userN then one
-    row per step.  Values round-trip exactly through load_trace_csv."""
+    """Write a T x N load matrix as a trace CSV of steps 1..T."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a T x N matrix, got shape {matrix.shape}")
-    n = matrix.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(f"user{i + 1}" for i in range(n)) + "\n")
-        for t, row in enumerate(matrix, start=1):
-            fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, np.arange(1, matrix.shape[0] + 1), matrix)
 
 
 def load_trace_csv(path) -> PrecomputedLoads:

@@ -504,7 +504,7 @@ def test_series_csv_bytes_are_float_reprs(tmp_path):
     steps = np.array([1, 2, 3, 4, 5], dtype=np.int64)
     values = np.array([5e-324, 1e-300, 0.1 + 0.2, 1e16, 0.1 - 0.3])
     path = tmp_path / "series.csv"
-    cli._write_series(str(path), metrics.SeriesReport("s", steps, values))
+    workloads.write_csv(str(path), steps, values)
     assert path.read_bytes() == (
         b"t,value\n"
         b"1,5e-324\n"
@@ -514,7 +514,7 @@ def test_series_csv_bytes_are_float_reprs(tmp_path):
         b"5,-0.19999999999999998\n"
     )
     per_user = np.stack([values, -values[::-1]], axis=1)
-    cli._write_series(str(path), metrics.SeriesReport("s", steps, per_user))
+    workloads.write_csv(str(path), steps, per_user)
     assert path.read_bytes() == (
         b"t,user1,user2\n"
         b"1,5e-324,0.19999999999999998\n"
@@ -526,7 +526,7 @@ def test_series_csv_bytes_are_float_reprs(tmp_path):
     # Longer than one formatting block: the same bytes as one write per value.
     steps = np.arange(1, 10_001, dtype=np.int64)
     values = np.linspace(-1.0, 1.0, steps.size) ** 3
-    cli._write_series(str(path), metrics.SeriesReport("s", steps, values))
+    workloads.write_csv(str(path), steps, values)
     expected = "t,value\n" + "".join(f"{t},{float(v)!r}\n" for t, v in zip(steps, values))
     assert path.read_text() == expected
 
@@ -741,6 +741,42 @@ def test_invariant_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert "assertion failed: manufactured failure" in capsys.readouterr().err
 
 
+WORK_CAP_SOURCES = {
+    "shared": ("bernoulli_gamma", lambda: workloads.bernoulli_gamma_fuzz(2, 60, 0)),
+    "adversary": ("adversary", workloads.QueueAdversary),
+}
+
+
+@pytest.mark.parametrize("case", list(WORK_CAP_SOURCES))
+def test_work_above_the_offline_optimum_exits_two(tmp_path, monkeypatch, capsys, case):
+    # One policy starts no worker, so its row is finished in this process,
+    # where the optimum is patched to fall below the row's work.
+    workload, make_source = WORK_CAP_SOURCES[case]
+    out = tmp_path / "out"
+    text = f"""\
+[workload]
+type = {workload}
+horizon = 60
+sla = 0.5, 0.5
+
+[policy p]
+type = po
+
+[output]
+dir = {out}
+"""
+    sla = SlaVector(np.array([0.5, 0.5]))
+    work = float(run(policies.make_policy("po", sla), make_source(), 60).total_work.sum())
+    assert work > 0.5
+    monkeypatch.setattr(cli.offline, "offline_optimal_value", lambda loads, eps=0.0: 0.5)
+    code = cli.main(["run", _write(tmp_path, text)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"assertion failed: policy p reports {work} work, above the offline optimum 0.5\n"
+    )
+    assert not (out / "summary").exists()
+
+
 def test_bundled_configs_validate():
     for name in (
         "configs/example1.cfg",
@@ -828,11 +864,11 @@ dir = {out}
 """
 
 
-def _stalled_group(pcs, source, cfg):
+def _stalled_group(*args):
     """cli._run_group, but a minute late in the worker process."""
     if multiprocessing.parent_process() is not None:
         time.sleep(60.0)
-    return _RUN_GROUP(pcs, source, cfg)
+    return _RUN_GROUP(*args)
 
 
 _RUN_GROUP = cli._run_group
@@ -893,7 +929,7 @@ def test_offline_worker_outputs_match_library_calls(tmp_path, stride):
     }
 
     def same_bytes(name, report):
-        cli._write_series(str(expected / name), report)
+        workloads.write_csv(str(expected / name), report.steps, report.values)
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     cumulative = {name: metrics.cumulative_work(trace) for name, trace in traces.items()}
@@ -939,6 +975,11 @@ def _same_finished(got: cli._Finished, want: cli._Finished) -> None:
         assert got_meta == want_meta
 
 
+def _shared_optimum(source, cfg):
+    """The eps=0 optimum run_experiment hands both groups; None under the adversary."""
+    return None if source is None else offline_optimal_value(source.matrix[: cfg.horizon])
+
+
 def _group_configs(tmp_path):
     """A mixed online/offline config (two rows of each kind, a window and
     work differences) and the bundled adversary config, both at horizon 400."""
@@ -959,9 +1000,10 @@ def test_every_split_of_the_rows_gives_the_same_outputs(tmp_path, case):
     # groups writes the bytes and returns the entries of one group of all.
     cfg = _group_configs(tmp_path)[case]
     source = cli._build_source(cfg)
+    opt0 = _shared_optimum(source, cfg)
     cfg.output_dir = str(tmp_path / "whole")
     os.makedirs(cfg.output_dir)
-    whole = cli._run_group(cfg.policies, source, cfg)
+    whole = cli._run_group(cfg.policies, source, opt0, cfg)
     files = {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()}
     first, *rest = cfg.policies
     for mask in range(2 ** len(rest)):
@@ -969,8 +1011,8 @@ def test_every_split_of_the_rows_gives_the_same_outputs(tmp_path, case):
         other = [pc for pc in cfg.policies if pc not in one]
         cfg.output_dir = str(tmp_path / f"split{mask}")
         os.makedirs(cfg.output_dir)
-        parts = cli._run_group(one, source, cfg)
-        parts.update(cli._run_group(other, source, cfg))
+        parts = cli._run_group(one, source, opt0, cfg)
+        parts.update(cli._run_group(other, source, opt0, cfg))
         assert {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()} == files
         assert parts.keys() == whole.keys()
         for name, done in whole.items():
@@ -990,8 +1032,9 @@ def test_a_group_steps_all_its_rows_in_one_batch(tmp_path, monkeypatch):
     os.makedirs(cfg.output_dir)
     monkeypatch.setattr(cli, "run_batch", counted)
     source = cli._build_source(cfg)
-    assert list(cli._run_group(cfg.policies, source, cfg)) == ["pg", "sg", "m", "o"]
-    assert cli._run_group([], source, cfg) == {}
+    opt0 = _shared_optimum(source, cfg)
+    assert list(cli._run_group(cfg.policies, source, opt0, cfg)) == ["pg", "sg", "m", "o"]
+    assert cli._run_group([], source, opt0, cfg) == {}
     assert calls == [["pg", "simple_greedy", "mw", "owm"]]
 
 
@@ -1047,12 +1090,14 @@ def test_group_job_runs_in_a_spawned_worker(tmp_path):
     for case, pcs in jobs.items():
         cfg = cfgs[case]
         os.makedirs(cfg.output_dir)
-        local[case] = cli._run_group(pcs, cli._build_source(cfg), cfg)
+        source = cli._build_source(cfg)
+        local[case] = cli._run_group(pcs, source, _shared_optimum(source, cfg), cfg)
         local_bytes[case] = {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()}
     spawn, remote = multiprocessing.get_context("spawn"), {}
     for case, pcs in jobs.items():
         reader, writer = spawn.Pipe(duplex=False)
-        args = (writer, pcs, cli._build_source(cfgs[case]), cfgs[case])
+        source = cli._build_source(cfgs[case])
+        args = (writer, pcs, source, _shared_optimum(source, cfgs[case]), cfgs[case])
         worker = spawn.Process(target=cli._group_job, args=args)
         worker.start()
         writer.close()
@@ -1070,7 +1115,8 @@ def test_group_job_runs_in_a_spawned_worker(tmp_path):
         "queue_two_norm_sg.csv",
         "sla_window_m.csv",
     ]
-    assert local["mixed"]["m"].optimum_rest is not None
-    assert local["mixed"]["sg"].optimum_rest is None
-    assert local["adversary"]["alg1"].phases > 0
-    assert local["adversary"]["alg1"].optimum_eps0 == pytest.approx(400.0)
+    assert list(local["mixed"]["m"].optima) == ["policy.m.offline_optimal_rest"]
+    assert local["mixed"]["sg"].optima == {}
+    alg1 = local["adversary"]["alg1"]
+    assert alg1.totals["policy.alg1.adversary_phases"] > 0
+    assert alg1.optima["policy.alg1.offline_optimal_eps0"] == pytest.approx(400.0)

@@ -573,6 +573,16 @@ def test_run_batch_rejects_one_policy_in_two_rows():
         run_batch([(policy, source), (policy, source)], horizon=3)
 
 
+def test_an_offline_row_must_replay_its_own_source():
+    # The greedy would serve a's loads of 0.1 while b's loads of 0.4 arrive.
+    a = PrecomputedLoads(np.full((4, 2), 0.1))
+    b = PrecomputedLoads(np.full((4, 2), 0.4))
+    match = r"^row 0 \(simple_greedy\) replays another load source than its own$"
+    with pytest.raises(ValueError, match=match):
+        run(simple_greedy(a), b, 4)
+    assert run(simple_greedy(b), b, 4).total_work.tolist() == [1.6, 1.6]
+
+
 def test_run_batch_rejects_rows_that_disagree_on_n_users():
     rows = [
         (OnlineWorkMaximizing(), PrecomputedLoads(np.ones((3, 2)))),

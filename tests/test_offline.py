@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slasim import PolicyParams, SlaVector, run, run_batch
-from slasim.core import DegenerateSlaError, _check_loads, _update
+from slasim.core import DegenerateSlaError, _update
 from slasim.offline import (
     OfflineRow,
     _numpy_sum,
@@ -40,7 +40,6 @@ def _reference_proportional_greedy(source, sla, capacity=1.0):
     forever once every backlogged ratio overflows to inf, so keep ratios
     finite when calling it.
     """
-    loads = _check_loads(source.matrix)
     beta = sla.beta
     positive = beta > 0.0
     all_positive = bool(positive.all())
@@ -74,7 +73,7 @@ def _reference_proportional_greedy(source, sla, capacity=1.0):
                 left = 0.0
         return work
 
-    return OfflineRow("pg", loads, serve)
+    return OfflineRow("pg", source, serve)
 
 
 def test_optimal_value_hand_cases():
@@ -194,7 +193,7 @@ def test_offline_row_queue_mirror_is_update_bitwise(rng):
             np.zeros(n),
             rng.uniform(0.0, 1.0, n),
         ):
-            row = OfflineRow("probe", load[None], lambda p, alloc=alloc: alloc)
+            row = OfflineRow("probe", PrecomputedLoads(load[None]), lambda p, alloc=alloc: alloc)
             row.reset(n)
             row._queue = queue.copy()
             assert row.decide(None) is alloc
