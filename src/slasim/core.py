@@ -9,14 +9,14 @@ Each of T discrete steps proceeds in a fixed order:
 3. update: load L(i) arrives, user i completes w(i) = min(h(i), L(i) + Q(i))
    units of work, and queues become Q(i) <- max(0, L(i) + Q(i) - h(i)).
 
-`run_batch` is the one engine.  It steps B independent (policy, source)
-rows in lockstep, holding queues, allocations, loads and running totals as
-(B, N) arrays.  At step t it computes the busy/idle pattern of every row
-at once; then, row by row in order, row r's policy decides from its own
-pattern and row r's source supplies its load (an adaptive source sees that
-row's allocation and pattern); then one update and one running sum serve
-all rows.  Every operation is elementwise per row, so a row's trace is bit
-for bit that of the row run alone.  `run` is the batch of one.
+`run_batch` is the one engine.  It steps B independent (policy, source) rows
+in lockstep, holding queues, allocations, loads and running totals as (B, N)
+arrays; load matrices enter a block of steps at a time.  At step t it
+computes every row's busy/idle pattern at once; then, row by row in order,
+row r's policy decides from its pattern and an adaptive source gives row r's
+load from that allocation and pattern; then one update and one running sum
+serve all rows.  Every operation is elementwise per row, so a row's trace is
+bit for bit that of the row run alone.  `run` is the batch of one.
 
 The update is written once, in `_update`.  The engine, the adversary's
 mirror of the queues and the windowed static re-simulation in `metrics`
@@ -65,12 +65,13 @@ class DegenerateSlaError(ValueError):
 
 @dataclass(frozen=True)
 class SlaVector:
-    """Contracted per-user shares beta(i), nonnegative with sum <= 1."""
+    """Contracted per-user shares beta(i), nonnegative with sum <= 1, held read-only."""
 
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = np.array(self.beta, dtype=np.float64)
+        beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError(f"SLA vector must be 1-d and nonempty, got shape {beta.shape}")
@@ -149,14 +150,13 @@ class Policy(Protocol):
 
 
 class LoadSource(Protocol):
-    """A source of per-step loads.
+    """A source of per-step loads, of one of two kinds.
 
-    A source backed by a fixed T x N float64 matrix exposes it as `matrix`,
-    and `next(t, ...)` returns `matrix[t - 1]`; the engine then takes the
-    trace's `load` rows from that matrix after the loop instead of copying
-    them out of its blocks, and any number of batch rows may share the
-    source.  Adaptive sources have no `matrix` and drive one row each.
-    """
+    A fixed source has a T x N float64 `matrix`, row t - 1 holding step t's
+    loads, and no `reset` or `next`: the engine reads it a block of steps at a
+    time, takes the trace's `load` rows from it, and lets any number of batch
+    rows share it.  An adaptive source has no `matrix` and drives one row: the
+    engine calls `reset()`, then `next(t, alloc, active)` at each step t."""
 
     n_users: int
     horizon: Optional[int]
@@ -216,8 +216,8 @@ class _Recorder:
     """Per-step rows of B traces, kept at every stride-th step and always at
     the final one.
 
-    Step t writes its alloc, work, queue, load and cum_work (B, N) rows in
-    place into slot (t - 1) % block of the block buffers, from the queue and
+    Step t's alloc, work, queue, load and cum_work (B, N) rows sit in slot
+    (t - 1) % block of the block buffers, and the step reads the queue and
     cum_work of the slot before (the last slot starts at zero); `slots[k]`
     holds those seven views.  After each block and at the final step,
     store() copies the block's kept steps out; load rows only when some row
@@ -309,16 +309,17 @@ def _check_rows(rows: list, names: list[str]) -> int:
     return n
 
 
-def _check_block(first: int, blocks: np.ndarray, loads: bool, names: list[str]) -> None:
-    """Raise InvariantViolation for a bad allocation, or, if `loads`, a
-    negative or NaN load in the block of steps from `first`: row by row, a
-    row's loads before its allocations, naming the first bad step.  The
-    masks hold the good steps, so NaN, which fails every comparison, is bad."""
+def _check_block(first: int, blocks: np.ndarray, names: list[str]) -> None:
+    """Raise InvariantViolation for a negative or NaN load or a bad
+    allocation in the block of steps from `first`: row by row, loads before
+    allocations, naming the first bad step.  The masks hold the good steps,
+    so NaN, which fails every comparison, is bad."""
     alloc, load = blocks[0], blocks[4]
     good = (alloc.min(axis=2) >= 0.0) & (alloc.sum(axis=2) <= 1.0 + 1e-12)
-    checks = [("an allocation", alloc, good, "is negative, NaN or sums above 1")]
-    if loads:
-        checks.insert(0, ("a load", load, load.min(axis=2) >= 0.0, "is negative or NaN"))
+    checks = [
+        ("a load", load, load.min(axis=2) >= 0.0, "is negative or NaN"),
+        ("an allocation", alloc, good, "is negative, NaN or sums above 1"),
+    ]
     if all(ok.all() for _, _, ok, _ in checks):
         return
     for r, name in enumerate(names):
@@ -339,12 +340,11 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     matrix-backed source; an adaptive source drives one row only.  Raises
     ValueError for an empty batch, rows that disagree on n_users or share a
     policy or an adaptive source; LoadExhausted if a source cannot supply
-    `horizon` steps; and InvariantViolation, at the end of the block of
-    steps it falls in, for a negative or NaN load from a source without a
-    load matrix or an allocation that is negative, NaN or sums above 1, and
-    after the loop for a load total that is not finite (an infinite load).
-    Engine messages name the row and its policy, as in "row 2 (po)", and at
-    every stride the step of a bad load or allocation.
+    `horizon` steps; and InvariantViolation, at the end of the block of steps
+    it falls in, for a negative or NaN load or an allocation that is negative,
+    NaN or sums above 1, and after the loop for a load total that is not finite
+    (an infinite load).  Engine messages name the row and its policy, as in
+    "row 2 (po)", and at every stride the step of a bad load or allocation.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -353,38 +353,47 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     rows = list(rows)
     names = [getattr(policy, "name", type(policy).__name__) for policy, _ in rows]
     n = _check_rows(rows, names)
+    matrices = [getattr(source, "matrix", None) for _, source in rows]
+    steppers = []
     for r, (policy, source) in enumerate(rows):
         if source.horizon is not None and source.horizon < horizon:
             raise LoadExhausted(
                 f"row {r} ({names[r]}): load source provides {source.horizon} steps, "
                 f"{horizon} requested"
             )
-        source.reset()
+        if matrices[r] is None:
+            source.reset()
         policy.reset(n)
+        steppers.append((r, policy.decide, source.next if matrices[r] is None else None))
 
     b = len(rows)
-    rec = _Recorder(horizon, stride, (b, n), [getattr(s, "matrix", None) for _, s in rows])
-    steppers = [(r, policy.decide, source.next) for r, (policy, source) in enumerate(rows)]
+    rec = _Recorder(horizon, stride, (b, n), matrices)
+    fixed = [(r, matrix) for r, matrix in enumerate(matrices) if matrix is not None]
     total_load = np.zeros((b, n))
     for t in range(1, horizon + 1):
-        alloc, work, queue, load, cum, queue_before, cum_before = rec.slots[(t - 1) % rec.block]
+        slot = (t - 1) % rec.block
+        if slot == 0:  # the block's steps of each load matrix, into its rows' load slots
+            k = min(rec.block, horizon - t + 1)
+            for r, matrix in fixed:
+                rec.blocks[4, :k, r] = matrix[t - 1 : t - 1 + k]
+        alloc, work, queue, load, cum, queue_before, cum_before = rec.slots[slot]
         active = queue_before > EMPTY_TOLERANCE
         for r, decide, next_load in steppers:
             seen = active[r]
             alloc[r] = a = decide(seen)
-            try:
-                load[r] = next_load(t, a, seen)
-            except LoadExhausted as exc:
-                raise LoadExhausted(
-                    f"row {r} ({names[r]}): load source exhausted at step {t}: {exc}"
-                ) from exc
+            if next_load is not None:
+                try:
+                    load[r] = next_load(t, a, seen)
+                except LoadExhausted as exc:
+                    msg = f"row {r} ({names[r]}): load source exhausted at step {t}: {exc}"
+                    raise LoadExhausted(msg) from exc
         _update(queue_before, alloc, load, out=(work, queue))
         np.add(cum_before, work, out=cum)
         total_load += load
         if t % rec.block == 0 or t == horizon:
-            _check_block(*rec.store(t), rec.load is not None, names)
+            _check_block(*rec.store(t), names)
 
-    # An infinite load (or a NaN one from a matrix) reaches only total_load.
+    # An infinite load passes the block check's sign test and reaches total_load.
     for r in range(b):
         if not np.isfinite(total_load[r]).all():
             raise InvariantViolation(

@@ -1,9 +1,9 @@
 """Load sources: fixed matrices, synthetic generators, CSV traces, and an
 adaptive adversary that defeats every feedback-driven policy.
 
-A load source answers `next(t, alloc, active)` with the loads arriving
-during step t.  Precomputed sources ignore the arguments; the adversary is
-the one adaptive source and may base its loads on the current allocation
+A fixed source holds a load matrix, which the engine reads a block of
+steps at a time.  The adversary is the one adaptive source: it answers
+`next(t, alloc, active)` with step t's loads, from the current allocation
 and the busy/idle pattern, nothing else.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 from slasim.core import (
     EMPTY_TOLERANCE,
     InvariantViolation,
-    LoadExhausted,
     SlaVector,
     _check_loads,
     _update,
@@ -39,14 +38,6 @@ class PrecomputedLoads:
         self.matrix = matrix
         self.n_users = int(matrix.shape[1])
         self.horizon: Optional[int] = int(matrix.shape[0])
-
-    def reset(self) -> None:
-        pass
-
-    def next(self, t: int, alloc: np.ndarray, active: np.ndarray) -> np.ndarray:
-        if not (1 <= t <= self.matrix.shape[0]):
-            raise LoadExhausted(f"only {self.matrix.shape[0]} steps available")
-        return self.matrix[t - 1]
 
 
 def example1_sla() -> SlaVector:

@@ -12,8 +12,10 @@ runs) are built once and reused across checks.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,6 +60,49 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------- fixtures
 
 
+def _on_two_cpus(job, args, remote):
+    """[job(arg) for arg in args], in order: the args in `remote` run in one
+    spawned worker process while this process runs the others.  The jobs
+    must be independent, and job a module-level function, so that it
+    pickles.  Spawned, not forked: numpy's BLAS threads are running here.
+    A worker that hangs fails the fixture after ten minutes."""
+    pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        there = {arg: pool.submit(job, arg) for arg in args if arg in remote}
+        here = {arg: job(arg) for arg in args if arg not in remote}
+        return [here[arg] if arg in here else there[arg].result(timeout=600) for arg in args]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fuzz_batch(n: int) -> list:
+    """The fuzz runs with N = n as one lockstep batch: (run index, record)
+    for each, the record holding the run's loads and each rule's work."""
+    runs = [k for k in range(FUZZ_RUNS) if 2 + k % 5 == n]
+    records, rows = [], []
+    for k in runs:
+        rng = np.random.default_rng(1000 + k)
+        beta = 0.5 * rng.dirichlet(np.ones(n)) + 0.5 / n
+        sla = SlaVector(beta)
+        params = PolicyParams(
+            n_users=n,
+            epsilon=(0.02, 0.05, 0.1)[k % 3],
+            eta=(1.0 / 3.0, 0.2)[k % 2],
+        )
+        source = bernoulli_gamma_fuzz(n, FUZZ_HORIZON, seed=2000 + k)
+        records.append((k, {"loads": source.matrix, "works": {}}))
+        for prop in (False, True):
+            policy = MultiplicativeWeights(
+                sla, params, proportional=prop, monitor_lemmas=True
+            )
+            rows.append((policy, source))
+    traces = run_batch(rows, horizon=FUZZ_HORIZON, stride=FUZZ_HORIZON)
+    for i, trace in enumerate(traces):
+        rule = ("basic", "prop")[i % 2]
+        records[i // 2][1]["works"][rule] = float(trace.total_work.sum())
+    return records
+
+
 @pytest.fixture(scope="module")
 def fuzz_corpus():
     """Fifty monitored fuzz runs of both update rules (criteria 4 and 5).
@@ -67,59 +112,42 @@ def fuzz_corpus():
     aborts the whole suite.  Shares are mixed toward uniform so each one
     clears the 2*eps/N floor the basic rule's boost guarantee needs.  The
     runs of one N step as one lockstep batch, whose rows are bit for bit
-    the runs alone.
+    the runs alone; the batches for N = 4 and 5 run in a worker process.
     """
     records = [None] * FUZZ_RUNS
-    for n in range(2, 7):
-        runs = [k for k in range(FUZZ_RUNS) if 2 + k % 5 == n]
-        rows = []
-        for k in runs:
-            rng = np.random.default_rng(1000 + k)
-            beta = 0.5 * rng.dirichlet(np.ones(n)) + 0.5 / n
-            sla = SlaVector(beta)
-            params = PolicyParams(
-                n_users=n,
-                epsilon=(0.02, 0.05, 0.1)[k % 3],
-                eta=(1.0 / 3.0, 0.2)[k % 2],
-            )
-            source = bernoulli_gamma_fuzz(n, FUZZ_HORIZON, seed=2000 + k)
-            records[k] = {"loads": source.matrix, "works": {}}
-            for prop in (False, True):
-                policy = MultiplicativeWeights(
-                    sla, params, proportional=prop, monitor_lemmas=True
-                )
-                rows.append((policy, source))
-        traces = run_batch(rows, horizon=FUZZ_HORIZON, stride=FUZZ_HORIZON)
-        for i, trace in enumerate(traces):
-            rule = ("basic", "prop")[i % 2]
-            records[runs[i // 2]]["works"][rule] = float(trace.total_work.sum())
+    for batch in _on_two_cpus(_fuzz_batch, range(2, 7), remote={4, 5}):
+        for k, record in batch:
+            records[k] = record
     return records
+
+
+def _seeded_run(seed: int) -> dict:
+    """One seeded synthetic experiment: the four online policies and the
+    offline greedy at capacities 1 (pg) and 0.98 (restpg) as one lockstep
+    batch over the shared loads, reduced to work totals, final queue norms
+    and alg2's window means."""
+    sla = SlaVector(np.array([0.2, 0.3, 0.5]))
+    params = PolicyParams(n_users=3, epsilon=0.02, eta=1.0 / 3.0)
+    source = synthetic_gamma(sla, horizon=SEED_HORIZON, seed=seed)
+    online = {"alg2": "mw_prop", "static": "static", "po": "po", "owm": "owm"}
+    batch = [(make_policy(name, sla, params), source) for name in online.values()]
+    batch += [(proportional_greedy(source, sla, cap), source) for cap in (1.0, 0.98)]
+    traces = dict(zip([*online, "pg", "restpg"], run_batch(batch, horizon=SEED_HORIZON)))
+    totals = {key: float(trace.total_work.sum()) for key, trace in traces.items()}
+    norms = {key: float(np.sqrt((traces[key].final_queue**2).sum())) for key in online}
+    window_means = sla_window_stats(traces["alg2"], sla, tau=500, stride=100).means
+    return {"totals": totals, "norms": norms, "window_means": window_means}
 
 
 @pytest.fixture(scope="module")
 def seeded_runs():
     """Ten seeded synthetic experiments shared by criteria 6 and 7.
 
-    Each seed steps the four online policies and the offline greedy at
-    capacities 1 (pg) and 0.98 (restpg) as one lockstep batch over the
-    shared loads, at stride 1 because sla_window_stats needs alg2's full
-    trace.
+    Each seed is one batch at stride 1, because sla_window_stats needs
+    alg2's full trace; the odd seeds run in a worker process.
     """
-    sla = SlaVector(np.array([0.2, 0.3, 0.5]))
-    params = PolicyParams(n_users=3, epsilon=0.02, eta=1.0 / 3.0)
-    rows = []
     started = time.perf_counter()
-    for seed in range(SEED_RUNS):
-        source = synthetic_gamma(sla, horizon=SEED_HORIZON, seed=seed)
-        online = {"alg2": "mw_prop", "static": "static", "po": "po", "owm": "owm"}
-        batch = [(make_policy(name, sla, params), source) for name in online.values()]
-        batch += [(proportional_greedy(source, sla, cap), source) for cap in (1.0, 0.98)]
-        traces = dict(zip([*online, "pg", "restpg"], run_batch(batch, horizon=SEED_HORIZON)))
-        alg2 = traces["alg2"]
-        totals = {key: float(trace.total_work.sum()) for key, trace in traces.items()}
-        norms = {key: float(np.sqrt((traces[key].final_queue**2).sum())) for key in online}
-        window_means = sla_window_stats(alg2, sla, tau=500, stride=100).means
-        rows.append({"totals": totals, "norms": norms, "window_means": window_means})
+    rows = _on_two_cpus(_seeded_run, range(SEED_RUNS), remote=range(1, SEED_RUNS, 2))
     return {"rows": rows, "elapsed": time.perf_counter() - started}
 
 

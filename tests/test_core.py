@@ -35,11 +35,13 @@ def _reference_run(policy, source, horizon, stride=1):
 
     Every row of run_batch must match it bit for bit.  It keeps every
     step's rows and thins them at the end, so it shares no recorder code
-    with the engine.  An exception it raises carries the step it failed at
-    as `step`: horizon + 1 for the engine's block check, which sees every
-    batch `_batches` draws as one block (rows x N x horizon is at most
-    6 x 12 x 40, under the block's 8192 values), and horizon + 2 for the
-    total load check after the loop.
+    with the engine, and it reads a load matrix one row per step, as
+    `matrix[t - 1]`, where the engine copies a block of steps at a time.
+    An exception it raises carries the step it failed at as `step`:
+    horizon + 1 for the engine's block check, which sees every batch
+    `_batches` draws as one block (rows x N x horizon is at most 6 x 12 x
+    40, under the block's 8192 values), and horizon + 2 for the total load
+    check after the loop.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -50,7 +52,9 @@ def _reference_run(policy, source, horizon, stride=1):
         raise LoadExhausted(
             f"load source provides {source.horizon} steps, {horizon} requested"
         )
-    source.reset()
+    matrix = getattr(source, "matrix", None)
+    if matrix is None:
+        source.reset()
     policy.reset(n)
 
     queue = np.zeros(n)
@@ -62,10 +66,13 @@ def _reference_run(policy, source, horizon, stride=1):
         for t in range(1, horizon + 1):
             active = queue > EMPTY_TOLERANCE
             alloc = policy.decide(active)
-            try:
-                load = source.next(t, alloc, active)
-            except LoadExhausted as exc:
-                raise LoadExhausted(f"load source exhausted at step {t}: {exc}") from exc
+            if matrix is not None:
+                load = matrix[t - 1]
+            else:
+                try:
+                    load = source.next(t, alloc, active)
+                except LoadExhausted as exc:
+                    raise LoadExhausted(f"load source exhausted at step {t}: {exc}") from exc
             work, queue = _update(queue, alloc, load)
             cum = cum + work
             total_load += load
@@ -233,6 +240,18 @@ def test_run_rejects_a_negative_load(stride, step):
     match = rf"^row 0 \(static\): a load \[-0\.5  0\.5\] at step {step} is negative or NaN$"
     with pytest.raises(InvariantViolation, match=match):
         run(StaticSla(sla), _Rows(rows), horizon=10, stride=stride)
+
+
+def test_run_rejects_a_load_matrix_changed_after_it_was_checked():
+    # Fails without the check: PrecomputedLoads keeps the caller's array, so
+    # the run read the load -5.0 and returned total_work [-3.5 1.8], no error.
+    m = np.full((6, 2), 0.3)
+    src = PrecomputedLoads(m)
+    m[2, 0] = -5.0
+    sla = SlaVector(np.array([0.5, 0.5]))
+    match = r"^row 0 \(po\): a load \[-5\.   0\.3\] at step 3 is negative or NaN$"
+    with pytest.raises(InvariantViolation, match=match):
+        run(OnlineProportional(sla), src, 6)
 
 
 def test_run_rejects_a_nan_allocation():
@@ -549,6 +568,36 @@ def test_run_batch_rows_match_a_reference_run_alone(case):
     assert str(error) in (str(want), f"row {r} ({rows[r][0]}): {want}")
 
 
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize(
+    "n, horizon, block", [(2, 600, 256), (1000, 21, 2)], ids=["n2-K256", "n1000-K2"]
+)
+def test_run_batch_rows_match_a_reference_run_alone_over_many_blocks(n, horizon, block, stride):
+    # Every batch _batches draws fits in one block; these span several, with
+    # a shorter last one (600 = 256 + 256 + 88 and 21 = 10 x 2 + 1), so the
+    # engine's block copy of the load matrices is compared too.  Two rows
+    # share a matrix longer than the horizon, one has its own, and at N = 2
+    # a row is driven by its own adversary.
+    sla = SlaVector(np.full(n, 1.0 / n))
+    params = PolicyParams(n_users=n, epsilon=0.05, eta=1.0 / 3.0)
+    shared = bernoulli_gamma_fuzz(n, horizon + 50, seed=3)
+    own = bernoulli_gamma_fuzz(n, horizon, seed=4)
+    rows = [
+        lambda: (make_policy("mw_prop", sla, params), shared),
+        lambda: (proportional_greedy(shared, sla), shared),
+        lambda: (OnlineProportional(sla), own),
+    ]
+    if n == 2:
+        rows.append(lambda: (make_policy("mw", sla, params), QueueAdversary()))
+    assert _Recorder(horizon, stride, (len(rows), n), [None] * len(rows)).block == block
+    batch = run_batch([row() for row in rows], horizon, stride=stride)
+    for r, row in enumerate(rows):
+        ref = _reference_run(*row(), horizon, stride)
+        for name in _TRACE_FIELDS:
+            got, want = getattr(batch[r], name), getattr(ref, name)
+            assert np.array_equal(got, want), f"row {r} field {name}"
+
+
 def test_run_batch_rejects_an_empty_batch():
     with pytest.raises(ValueError, match="at least one"):
         run_batch([], horizon=3)
@@ -653,6 +702,18 @@ def test_sla_vector_validation():
     assert sla.n == 3
     assert sla.theory_applicable(0.1)  # floor 2*0.1/3 < 0.2
     assert not SlaVector(np.array([0.01, 0.5])).theory_applicable(0.1)
+
+
+def test_sla_vector_holds_a_read_only_copy_of_its_shares():
+    # Fails without the copy: sla.beta was the caller's array, and writing
+    # 0.9 into it left shares that sum to 1.4.
+    beta = np.array([0.5, 0.5])
+    sla = SlaVector(beta)
+    beta[0] = 0.9
+    assert sla.beta.tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError):
+        sla.beta[0] = 0.9
+    assert sla.beta.tolist() == [0.5, 0.5]
 
 
 def test_policy_params_validation_and_canonical_boost():

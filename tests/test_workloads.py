@@ -157,16 +157,6 @@ def test_fuzz_load_shape_and_mean():
         bernoulli_gamma_fuzz(n_users=0, horizon=10, seed=0)
 
 
-def test_precomputed_loads_replay():
-    m = np.array([[0.1, 0.2], [0.3, 0.4]])
-    source = PrecomputedLoads(m)
-    source.reset()
-    assert np.array_equal(source.next(1, None, None), [0.1, 0.2])
-    assert np.array_equal(source.next(2, None, None), [0.3, 0.4])
-    with pytest.raises(Exception):
-        source.next(3, None, None)
-
-
 @pytest.mark.parametrize(
     "bad, message",
     [
