@@ -169,14 +169,14 @@ class OnlineProportional(_SlaPolicy):
 
     def decide(self, active: np.ndarray) -> np.ndarray:
         beta = self.sla.beta
+        share = beta[active].sum()
+        if share > 0.0:
+            return np.where(active, beta / share, 0.0)
         if not active.any():
             return beta
-        share = beta[active].sum()
-        if share <= 0.0:
-            raise DegenerateSlaError(
-                "every active user has a zero SLA share; proportional split undefined"
-            )
-        return np.where(active, beta / share, 0.0)
+        raise DegenerateSlaError(
+            "every active user has a zero SLA share; proportional split undefined"
+        )
 
 
 class OnlineWorkMaximizing:
@@ -199,11 +199,11 @@ class OnlineWorkMaximizing:
     def decide(self, active: np.ndarray) -> np.ndarray:
         served = self._served & active  # users done with their work leave
         waiting = (self._waiting | ~self._served) & active  # idle users rejoin here
-        if not served.any():
+        count = np.count_nonzero(served)
+        if count == 0:
             served, waiting = waiting, np.zeros_like(waiting)
-        self._served = served
-        self._waiting = waiting
-        count = int(served.sum())
+            count = np.count_nonzero(served)
+        self._served, self._waiting = served, waiting
         if count == 0:
             return np.zeros(active.size)
         return served / count

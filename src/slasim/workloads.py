@@ -250,7 +250,8 @@ class QueueAdversary:
     reconstructs them from its own emitted loads and the allocations it is
     shown, through the simulator's own queue update (so the mirror equals
     the real queues bit for bit), and cross-checks the reconstruction
-    against the busy/idle pattern every step.
+    against the busy/idle pattern every step.  It branches on Python floats,
+    which round as numpy does but skip numpy's per-call cost on 2-vectors.
     """
 
     INIT, OPEN, ECHO, DRAIN, CLOSE = range(5)
@@ -272,7 +273,8 @@ class QueueAdversary:
         self.phase_log: list[tuple[int, int, float]] = []  # (phase, end step, backlog)
 
     def _close_phase(self, t: int) -> None:
-        backlog = float(self.queue.sum())
+        q0, q1 = self.queue.tolist()
+        backlog = q0 + q1  # numpy's sum of two queues, bit for bit
         growth = backlog - self.phase_backlog
         floor = 0.5 if self.phase_index == 1 else 0.25
         if growth < floor - 1e-9:
@@ -280,7 +282,7 @@ class QueueAdversary:
                 f"adversary phase {self.phase_index} grew backlog by {growth}, "
                 f"expected at least {floor}"
             )
-        if self.queue.min() > EMPTY_TOLERANCE:
+        if q0 > EMPTY_TOLERANCE and q1 > EMPTY_TOLERANCE:
             raise InvariantViolation(
                 f"adversary phase {self.phase_index} ended with both queues nonempty"
             )
@@ -291,18 +293,19 @@ class QueueAdversary:
         self.mode = self.OPEN
 
     def next(self, t: int, alloc: np.ndarray, active: np.ndarray) -> np.ndarray:
-        h = np.asarray(alloc, dtype=np.float64)
-        if h.size != 2:
+        alloc = np.asarray(alloc, dtype=np.float64)
+        if alloc.size != 2:
             raise ValueError("the adversary drives exactly 2 users")
-        if active is not None and np.any((self.queue > EMPTY_TOLERANCE) != active):
+        h, q = alloc.tolist(), self.queue.tolist()
+        busy = [q[0] > EMPTY_TOLERANCE, q[1] > EMPTY_TOLERANCE]
+        if active is not None and busy != np.asarray(active).tolist():
             raise InvariantViolation(
                 f"step {t}: adversary's mirrored queues disagree with the "
                 f"simulator's busy/idle pattern"
             )
-        load = np.zeros(2)
+        load = [0.0, 0.0]
         b = self.side
         a = 1 - b
-        q = self.queue
         mode = self.mode
         self.rel_step += 1
         if mode != self.INIT and self.rel_step > 8.0 * max(self.phase_backlog, 1.0) + 64.0:
@@ -357,7 +360,8 @@ class QueueAdversary:
             load[a] = 1.0 - load[b]
             self.mode = self.CLOSE
 
-        _, self.queue = _update(q, h, load)
+        load = np.array(load)
+        _, self.queue = _update(self.queue, alloc, load)
         if mode == self.CLOSE and self.queue[b] <= EMPTY_TOLERANCE:
             self.side = a  # the backlog has moved across
             close = True

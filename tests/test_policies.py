@@ -216,7 +216,8 @@ def test_proportional_baseline_renormalizes_over_actives():
     policy = OnlineProportional(sla)
     policy.reset(3)
     out = policy.decide(np.array([True, False, True]))
-    assert np.allclose(out, [0.2 / 0.7, 0.0, 0.5 / 0.7], atol=1e-15)
+    # 0.2 + 0.5 is 0.7 in floating point, so each share is one division.
+    assert np.array_equal(out, [0.2 / 0.7, 0.0, 0.5 / 0.7])
     # nobody active: fall back to the SLA itself
     assert np.array_equal(policy.decide(np.zeros(3, dtype=bool)), sla.beta)
 
@@ -234,25 +235,25 @@ def test_work_maximizing_rotates_service():
     policy.reset(3)
     # everyone starts served; only users 0 and 1 are busy
     out = policy.decide(np.array([True, True, False]))
-    assert np.allclose(out, [0.5, 0.5, 0.0])
+    assert np.array_equal(out, [0.5, 0.5, 0.0])
     # user 2 turns busy: they wait while the served set drains
     out = policy.decide(np.array([True, True, True]))
-    assert np.allclose(out, [0.5, 0.5, 0.0])
+    assert np.array_equal(out, [0.5, 0.5, 0.0])
     # served set finishes; the waiting set is promoted wholesale
     out = policy.decide(np.array([False, False, True]))
-    assert np.allclose(out, [0.0, 0.0, 1.0])
+    assert np.array_equal(out, [0.0, 0.0, 1.0])
     # nobody busy at all: allocate nothing
     out = policy.decide(np.zeros(3, dtype=bool))
-    assert np.allclose(out, [0.0, 0.0, 0.0])
+    assert np.array_equal(out, [0.0, 0.0, 0.0])
 
 
 def test_work_maximizing_keeps_served_until_drained():
     policy = OnlineWorkMaximizing()
     policy.reset(2)
-    assert np.allclose(policy.decide(np.array([True, False])), [1.0, 0.0])
+    assert np.array_equal(policy.decide(np.array([True, False])), [1.0, 0.0])
     # user 1 arrives while user 0 still holds the resource
-    assert np.allclose(policy.decide(np.array([True, True])), [1.0, 0.0])
-    assert np.allclose(policy.decide(np.array([False, True])), [0.0, 1.0])
+    assert np.array_equal(policy.decide(np.array([True, True])), [1.0, 0.0])
+    assert np.array_equal(policy.decide(np.array([False, True])), [0.0, 1.0])
 
 
 # ------------------------------------------------------------------- monitors

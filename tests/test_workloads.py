@@ -267,3 +267,24 @@ def test_adversary_rejects_wrong_width():
     source.reset()
     with pytest.raises(ValueError):
         source.next(1, np.array([0.3, 0.3, 0.4]), np.zeros(3, dtype=bool))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize(
+    "pattern",
+    [[False, False], [True, True], [False, True], [True, False]],
+    ids=["idle-idle", "busy-busy", "idle-busy", "busy-idle"],
+)
+def test_adversary_cross_checks_the_busy_idle_pattern(pattern, as_array):
+    # The opening step puts one unit on user 0, who is allocated 1/2 of it.
+    source = QueueAdversary()
+    source.reset()
+    source.next(1, [0.5, 0.5], [False, False])
+    assert source.queue.tolist() == [0.5, 0.0]
+    seen = np.array(pattern) if as_array else pattern
+    if pattern == [True, False]:
+        source.next(2, [0.5, 0.5], seen)
+        return
+    message = "disagree with the simulator's busy/idle pattern"
+    with pytest.raises(InvariantViolation, match=message):
+        source.next(2, [0.5, 0.5], seen)
