@@ -229,8 +229,9 @@ def parse_config(path: str) -> tuple[Optional[ExperimentConfig], list[str], list
         else:
             if sla is not None and trace.n_users != sla.n:
                 errors.append(f"trace has {trace.n_users} users but sla has {sla.n}")
-            if trace.horizon < horizon:
-                errors.append(f"trace provides {trace.horizon} steps, config asks for {horizon}")
+            steps = len(trace.matrix)
+            if steps < horizon:
+                errors.append(f"trace provides {steps} steps, config asks for {horizon}")
 
     run_sec = parser["run"] if parser.has_section("run") else {}
     stride = _read(run_sec.get("stride", "1"), "run stride", errors, rule=POSITIVE_INT)

@@ -40,7 +40,7 @@ current step's allocation and the busy/idle pattern, nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -152,14 +152,13 @@ class Policy(Protocol):
 class LoadSource(Protocol):
     """A source of per-step loads, of one of two kinds.
 
-    A fixed source has a T x N float64 `matrix`, row t - 1 holding step t's
-    loads, and no `reset` or `next`: the engine reads it a block of steps at a
-    time, takes the trace's `load` rows from it, and lets any number of batch
-    rows share it.  An adaptive source has no `matrix` and drives one row: the
-    engine calls `reset()`, then `next(t, alloc, active)` at each step t."""
+    A fixed source has a T x N float64 `matrix` of T steps, row t - 1 holding
+    step t's loads, and no `reset` or `next`: the engine reads it a block of
+    steps at a time, and any number of batch rows may share it.  An adaptive
+    source has no `matrix` and drives one row: the engine calls `reset()`,
+    then `next(t, alloc, active)` at each step t."""
 
     n_users: int
-    horizon: Optional[int]
 
     def reset(self) -> None: ...
 
@@ -174,14 +173,14 @@ class SimulationTrace:
     thinning stride only every stride-th step is retained).  Aggregates
     total_work, total_load and final_queue are always exact regardless of
     thinning, as is cum_work, the running per-user work total at each
-    retained step.  For a source backed by a load matrix, load is taken
-    from that matrix: a read-only view of its first horizon rows at stride
-    1, a copy of the retained rows otherwise.
+    retained step.  When every row of the batch has a load matrix and the
+    stride is 1, load is a view of the row's matrix, its first horizon
+    rows; otherwise it is the recorded rows, like the other per-step fields.
 
     In row r of a batch, alloc, work, queue, cum_work and any recorded load
     are the column views [:, r] of the batch recorder's (m, B, N) arrays:
     each is m x N with a contiguous inner axis, and the rows of one batch
-    share those buffers.
+    share those buffers.  Every array of a trace is read-only.
     """
 
     policy: str
@@ -220,8 +219,8 @@ class _Recorder:
     (t - 1) % block of the block buffers, and the step reads the queue and
     cum_work of the slot before (the last slot starts at zero); `slots[k]`
     holds those seven views.  After each block and at the final step,
-    store() copies the block's kept steps out; load rows only when some row
-    has no load matrix to take them from.
+    store() copies the block's kept steps out, load rows too unless the
+    stride is 1 and every row has a load matrix to view them in.
     """
 
     def __init__(self, horizon: int, stride: int, shape: tuple[int, int], matrices: list):
@@ -229,14 +228,11 @@ class _Recorder:
         if len(steps) == 0 or steps[-1] != horizon:
             steps = np.append(steps, horizon)  # always retain the final step
         self.horizon = horizon
-        self.stride = stride
         self.steps = steps
-        self._matrices = matrices
-        # alloc, work, queue, cum_work and, if some row has no load matrix, load.
-        fields = 4 if all(x is not None for x in matrices) else 5
-        self.kept = np.empty((fields, len(steps), *shape))
-        self.alloc, self.work, self.queue, self.cum_work = self.kept[:4]
-        self.load = self.kept[4] if fields == 5 else None
+        # alloc, work, queue, cum_work and load, unless each row's is a view of its matrix.
+        viewed = stride == 1 and all(x is not None for x in matrices)
+        self._matrices = matrices if viewed else None
+        self.kept = np.empty((4 if self._matrices else 5, len(steps), *shape))
         # About 8192 values per field and block (wide rows stay in cache), at most horizon.
         k = self.block = max(2, min(256, horizon, 8192 // (shape[0] * shape[1])))
         self.blocks = np.zeros((5, k, *shape))
@@ -252,26 +248,18 @@ class _Recorder:
             self.kept[:, j0:j1] = self.blocks[: len(self.kept), self.steps[j0:j1] - first]
         return first, self.blocks[:, : t - first + 1]
 
-    def load_rows(self, r: int) -> np.ndarray:
-        """Row r's kept load rows: recorded ones, or those of its load matrix."""
-        matrix = self._matrices[r]
-        if matrix is None:
-            return self.load[:, r]
-        if self.stride > 1:
-            return matrix[self.steps - 1]
-        view = matrix[: self.horizon]
-        view.flags.writeable = False
-        return view
-
     def trace(self, r: int, policy: str, total_work, total_load, final_queue) -> SimulationTrace:
+        alloc, work, queue, cum_work, *load = self.kept[:, :, r]
+        load = load[0] if load else self._matrices[r][: self.horizon]
+        load.flags.writeable = False
         return SimulationTrace(
             policy=policy,
             steps=self.steps,
-            alloc=self.alloc[:, r],
-            work=self.work[:, r],
-            queue=self.queue[:, r],
-            load=self.load_rows(r),
-            cum_work=self.cum_work[:, r],
+            alloc=alloc,
+            work=work,
+            queue=queue,
+            load=load,
+            cum_work=cum_work,
             total_work=total_work,
             total_load=total_load,
             final_queue=final_queue,
@@ -310,14 +298,15 @@ def _check_rows(rows: list, names: list[str]) -> int:
 
 
 def _check_block(first: int, blocks: np.ndarray, names: list[str]) -> None:
-    """Raise InvariantViolation for a negative or NaN load or a bad
+    """Raise InvariantViolation for a negative, NaN or infinite load or a bad
     allocation in the block of steps from `first`: row by row, loads before
     allocations, naming the first bad step.  The masks hold the good steps,
     so NaN, which fails every comparison, is bad."""
     alloc, load = blocks[0], blocks[4]
     good = (alloc.min(axis=2) >= 0.0) & (alloc.sum(axis=2) <= 1.0 + 1e-12)
+    finite = (load.min(axis=2) >= 0.0) & (load.max(axis=2) < np.inf)
     checks = [
-        ("a load", load, load.min(axis=2) >= 0.0, "is negative or NaN"),
+        ("a load", load, finite, "is negative, NaN or infinite"),
         ("an allocation", alloc, good, "is negative, NaN or sums above 1"),
     ]
     if all(ok.all() for _, _, ok, _ in checks):
@@ -339,11 +328,11 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     trace is bit for bit the trace of that row run alone.  Rows may share a
     matrix-backed source; an adaptive source drives one row only.  Raises
     ValueError for an empty batch, rows that disagree on n_users or share a
-    policy or an adaptive source; LoadExhausted if a source cannot supply
-    `horizon` steps; and InvariantViolation, at the end of the block of steps
-    it falls in, for a negative or NaN load or an allocation that is negative,
-    NaN or sums above 1, and after the loop for a load total that is not finite
-    (an infinite load).  Engine messages name the row and its policy, as in
+    policy or an adaptive source; LoadExhausted if a load matrix has fewer
+    than `horizon` rows or an adaptive source runs out; and
+    InvariantViolation, at the end of the block of steps it falls in, for a
+    load that is negative, NaN or infinite or an allocation that is negative,
+    NaN or sums above 1.  Engine messages name the row and its policy, as in
     "row 2 (po)", and at every stride the step of a bad load or allocation.
     """
     if horizon < 1:
@@ -356,9 +345,9 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
     matrices = [getattr(source, "matrix", None) for _, source in rows]
     steppers = []
     for r, (policy, source) in enumerate(rows):
-        if source.horizon is not None and source.horizon < horizon:
+        if matrices[r] is not None and len(matrices[r]) < horizon:
             raise LoadExhausted(
-                f"row {r} ({names[r]}): load source provides {source.horizon} steps, "
+                f"row {r} ({names[r]}): load source provides {len(matrices[r])} steps, "
                 f"{horizon} requested"
             )
         if matrices[r] is None:
@@ -393,13 +382,8 @@ def run_batch(rows, horizon: int, *, stride: int = 1) -> list[SimulationTrace]:
         if t % rec.block == 0 or t == horizon:
             _check_block(*rec.store(t), names)
 
-    # An infinite load passes the block check's sign test and reaches total_load.
-    for r in range(b):
-        if not np.isfinite(total_load[r]).all():
-            raise InvariantViolation(
-                f"row {r} ({names[r]}): total load is not finite "
-                f"(a NaN or infinite load): {total_load[r]}"
-            )
+    for done in (rec.steps, rec.kept, cum, total_load, queue):  # and every view taken after
+        done.flags.writeable = False
     return [rec.trace(r, names[r], cum[r], total_load[r], queue[r]) for r in range(b)]
 
 

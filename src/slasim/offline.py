@@ -75,7 +75,6 @@ def simple_greedy(source, capacity: float = 1.0) -> OfflineRow:
     the offline optimum for per-step capacity `capacity`.  The schedule is
     a row to run with its `source`: run(row, source, horizon).
     """
-    _check_loads(source.matrix)
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
 
@@ -104,9 +103,8 @@ def proportional_greedy(source, sla: SlaVector, capacity: float = 1.0) -> Offlin
     `_numpy_sum` of the still-backlogged shares, the bits of numpy's
     `beta[busy].sum()`, so the schedule is bitwise that of a numpy walk.
     """
-    loads = _check_loads(source.matrix)
-    if loads.shape[1] != sla.n:
-        raise ValueError(f"loads have {loads.shape[1]} users but SLA has {sla.n}")
+    if source.n_users != sla.n:
+        raise ValueError(f"loads have {source.n_users} users but SLA has {sla.n}")
     if not (0.0 < capacity <= 1.0):
         raise ValueError(f"capacity must lie in (0, 1], got {capacity}")
     shares = sla.beta.tolist()

@@ -1,16 +1,16 @@
 """Load sources: fixed matrices, synthetic generators, CSV traces, and an
 adaptive adversary that defeats every feedback-driven policy.
 
-A fixed source holds a load matrix, which the engine reads a block of
-steps at a time.  The adversary is the one adaptive source: it answers
-`next(t, alloc, active)` with step t's loads, from the current allocation
-and the busy/idle pattern, nothing else.
+A fixed source holds a read-only load matrix, which the engine reads a
+block of steps at a time; the generators and the CSV reader freeze the
+arrays they build, so none is copied.  The adversary is the one adaptive
+source: it answers `next(t, alloc, active)` with step t's loads, from the
+current allocation and the busy/idle pattern, nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -31,13 +31,26 @@ class TraceFormatError(ValueError):
 
 
 class PrecomputedLoads:
-    """Load source backed by a fixed T x N matrix."""
+    """Load source backed by a checked, read-only T x N matrix: a read-only
+    float64 array that owns its data is kept as it is, anything else copied."""
 
     def __init__(self, matrix: np.ndarray):
-        matrix = _check_loads(matrix)
-        self.matrix = matrix
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.flags.writeable or not matrix.flags.owndata:
+            matrix = matrix.copy()
+            matrix.flags.writeable = False
+        self.matrix = _check_loads(matrix)
         self.n_users = int(matrix.shape[1])
-        self.horizon: Optional[int] = int(matrix.shape[0])
+
+    def __setstate__(self, state: dict) -> None:  # unpickled, as in a spawned worker
+        self.__dict__.update(state)
+        self.matrix.flags.writeable = False
+
+
+def _frozen(loads: np.ndarray) -> PrecomputedLoads:
+    """The source of a matrix built here, frozen so that it is not copied."""
+    loads.flags.writeable = False
+    return PrecomputedLoads(loads)
 
 
 def example1_sla() -> SlaVector:
@@ -59,7 +72,7 @@ def example1_loads(horizon: int) -> np.ndarray:
 
 
 def example1_instance(horizon: int) -> PrecomputedLoads:
-    return PrecomputedLoads(example1_loads(horizon))
+    return _frozen(example1_loads(horizon))
 
 
 # Six equal periods; each names a pair of users.  "bulk" drops one big job
@@ -122,7 +135,7 @@ def synthetic_gamma(
             loads[t0 : t0 + plen, b] = rng.gamma(shape, 0.5 / shape, size=plen)
         else:
             raise ValueError(f"unknown period kind '{kind}' in schedule period {p + 1}")
-    return PrecomputedLoads(loads)
+    return _frozen(loads)
 
 
 def bernoulli_gamma_fuzz(n_users: int, horizon: int, seed: int) -> PrecomputedLoads:
@@ -136,7 +149,7 @@ def bernoulli_gamma_fuzz(n_users: int, horizon: int, seed: int) -> PrecomputedLo
     rng = np.random.default_rng(seed)
     bursts = rng.random((horizon, n_users)) < p
     sizes = rng.gamma(2.0, mean / 2.0, size=(horizon, n_users))
-    return PrecomputedLoads(np.where(bursts, sizes, 0.0))
+    return _frozen(np.where(bursts, sizes, 0.0))
 
 
 _CSV_BLOCK_ROWS = 4096
@@ -217,7 +230,7 @@ def load_trace_csv(path) -> PrecomputedLoads:
             rows.append(values)
         if not rows:
             raise TraceFormatError("line 1: trace contains a header but no steps")
-    return PrecomputedLoads(np.array(rows))
+    return _frozen(np.array(rows))
 
 
 class QueueAdversary:
@@ -258,7 +271,6 @@ class QueueAdversary:
 
     def __init__(self):
         self.n_users = 2
-        self.horizon: Optional[int] = None
         self.reset()
 
     def reset(self) -> None:

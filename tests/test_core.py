@@ -37,22 +37,19 @@ def _reference_run(policy, source, horizon, stride=1):
     step's rows and thins them at the end, so it shares no recorder code
     with the engine, and it reads a load matrix one row per step, as
     `matrix[t - 1]`, where the engine copies a block of steps at a time.
-    An exception it raises carries the step it failed at as `step`:
+    An exception it raises carries the step it failed at as `step`, and
     horizon + 1 for the engine's block check, which sees every batch
     `_batches` draws as one block (rows x N x horizon is at most 6 x 12 x
-    40, under the block's 8192 values), and horizon + 2 for the total load
-    check after the loop.
+    40, under the block's 8192 values).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     n = int(source.n_users)
-    if source.horizon is not None and source.horizon < horizon:
-        raise LoadExhausted(
-            f"load source provides {source.horizon} steps, {horizon} requested"
-        )
     matrix = getattr(source, "matrix", None)
+    if matrix is not None and len(matrix) < horizon:
+        raise LoadExhausted(f"load source provides {len(matrix)} steps, {horizon} requested")
     if matrix is None:
         source.reset()
     policy.reset(n)
@@ -86,18 +83,18 @@ def _reference_run(policy, source, horizon, stride=1):
             if bad:
                 raise InvariantViolation(f"{what} {rows[bad[0] - 1]} at step {bad[0]} {how}")
 
-        check("a load", 3, lambda x: x.min() >= 0.0, "is negative or NaN")
+        check(
+            "a load",
+            3,
+            lambda x: x.min() >= 0.0 and x.max() < np.inf,
+            "is negative, NaN or infinite",
+        )
         check(
             "an allocation",
             0,
             lambda x: x.min() >= 0.0 and x.sum() <= 1 + 1e-12,
             "is negative, NaN or sums above 1",
         )
-        t = horizon + 2
-        if not np.isfinite(total_load).all():
-            raise InvariantViolation(
-                f"total load is not finite (a NaN or infinite load): {total_load}"
-            )
     except Exception as exc:
         exc.step = t
         raise
@@ -175,7 +172,6 @@ class _Rows:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.float64)
         self.n_users = self.rows.shape[1]
-        self.horizon = None
 
     def reset(self):
         pass
@@ -212,18 +208,20 @@ def test_busy_idle_threshold_is_strict_above_tolerance():
 def test_run_rejects_a_nan_load():
     # Fails without the check: total_work came out [nan, 1.5] silently.
     source = _Rows([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])
-    match = r"^row 0 \(static\): a load \[nan 0\.5\] at step 2 is negative or NaN$"
+    match = r"^row 0 \(static\): a load \[nan 0\.5\] at step 2 is negative, NaN or infinite$"
     with pytest.raises(InvariantViolation, match=match):
         run(StaticSla(SlaVector(np.array([0.5, 0.5]))), source, horizon=3)
 
 
 def test_run_rejects_an_infinite_load():
-    # An infinite load passes the block check's sign test; the load total
-    # after the loop catches it.
+    # Fails without the check: the load passed the sign test and was caught
+    # only after the loop, by its load total, with no step named.  At stride
+    # 7 step 2 is not kept, and is named all the same.
     source = _Rows([[0.5, 0.5], [np.inf, 0.5], [0.5, 0.5]])
-    match = r"^row 0 \(static\): total load is not finite \(a NaN or infinite load\)"
-    with pytest.raises(InvariantViolation, match=match):
-        run(StaticSla(SlaVector(np.array([0.5, 0.5]))), source, horizon=3)
+    match = r"^row 0 \(static\): a load \[inf 0\.5\] at step 2 is negative, NaN or infinite$"
+    for stride in (1, 7):
+        with pytest.raises(InvariantViolation, match=match):
+            run(StaticSla(SlaVector(np.array([0.5, 0.5]))), source, horizon=3, stride=stride)
 
 
 @pytest.mark.parametrize(
@@ -237,21 +235,57 @@ def test_run_rejects_a_negative_load(stride, step):
     rows = np.full((10, 2), 0.5)
     rows[step - 1] = (-0.5, 0.5)
     sla = SlaVector(np.array([0.5, 0.5]))
-    match = rf"^row 0 \(static\): a load \[-0\.5  0\.5\] at step {step} is negative or NaN$"
+    match = (
+        rf"^row 0 \(static\): a load \[-0\.5  0\.5\] at step {step} "
+        r"is negative, NaN or infinite$"
+    )
     with pytest.raises(InvariantViolation, match=match):
         run(StaticSla(sla), _Rows(rows), horizon=10, stride=stride)
 
 
+class _Matrix:
+    """A fixed source of the caller's own array, writeable and unchecked."""
+
+    def __init__(self, matrix):
+        self.matrix, self.n_users = matrix, matrix.shape[1]
+
+
 def test_run_rejects_a_load_matrix_changed_after_it_was_checked():
-    # Fails without the check: PrecomputedLoads keeps the caller's array, so
-    # the run read the load -5.0 and returned total_work [-3.5 1.8], no error.
+    # Fails without the check: a fixed source that keeps the caller's array
+    # (PrecomputedLoads did) let the run read the load -5.0 and return
+    # total_work [-3.5 1.8], no error.
+    m = np.full((6, 2), 0.3)
+    src = _Matrix(m)
+    assert np.array_equal(PrecomputedLoads(m).matrix, m)  # m passes the check
+    m[2, 0] = -5.0
+    sla = SlaVector(np.array([0.5, 0.5]))
+    match = r"^row 0 \(po\): a load \[-5\.   0\.3\] at step 3 is negative, NaN or infinite$"
+    with pytest.raises(InvariantViolation, match=match):
+        run(OnlineProportional(sla), src, 6)
+
+
+def test_precomputed_loads_copies_a_writeable_array():
+    # Fails without the copy: src.matrix was m, so the write reached the run.
     m = np.full((6, 2), 0.3)
     src = PrecomputedLoads(m)
     m[2, 0] = -5.0
-    sla = SlaVector(np.array([0.5, 0.5]))
-    match = r"^row 0 \(po\): a load \[-5\.   0\.3\] at step 3 is negative or NaN$"
+    assert not np.shares_memory(src.matrix, m) and src.matrix[2, 0] == 0.3
+    with pytest.raises(ValueError):
+        src.matrix[2, 0] = -5.0
+    trace = run(OnlineProportional(SlaVector(np.array([0.5, 0.5]))), src, 6)
+    assert np.all(trace.load == 0.3)
+
+
+def test_a_pg_row_over_a_nan_load_names_its_row_and_step():
+    # pg's row is checked like any row: the engine's block check names the
+    # bad load with its row and step, where pg's own check of the matrix
+    # raised a ValueError when the row was built.
+    m = np.full((4, 2), 0.5)
+    m[1, 0] = np.nan
+    src = _Matrix(m)
+    match = r"^row 0 \(pg\): a load \[nan 0\.5\] at step 2 is negative, NaN or infinite$"
     with pytest.raises(InvariantViolation, match=match):
-        run(OnlineProportional(sla), src, 6)
+        run(proportional_greedy(src, SlaVector(np.array([0.5, 0.5]))), src, 4)
 
 
 def test_run_rejects_a_nan_allocation():
@@ -296,7 +330,7 @@ def test_a_fault_in_a_later_block_is_named_with_its_step(stride, fault):
         loads[19, 0] = -0.25
     match = (
         rf"^row 0 \({policy.name}\): an? {fault} \[-0\.25 .*\] at step 20 "
-        r"is negative(, NaN or sums above 1| or NaN)$"
+        r"is negative, NaN or (sums above 1|infinite)$"
     )
     with pytest.raises(InvariantViolation, match=match) as err:
         run(policy, _Rows(loads), horizon=horizon, stride=stride)
@@ -339,6 +373,21 @@ def test_a_block_fault_and_a_later_row_error_surface_in_step_order(raise_at, win
     assert type(err.value) is wins
 
 
+def test_an_infinite_load_in_an_earlier_block_wins_over_a_later_row_error():
+    # Fails without the block check of infinite loads: row 1 raised at step 6
+    # first, and the load total after the loop was never reached.  Blocks
+    # are K = 4 steps, as above; row 0's load at step 2 is infinite.
+    n, horizon = 1000, 8
+    loads = np.full((horizon, n), 0.5 / n)
+    loads[1, 0] = np.inf
+    sla = SlaVector(np.full(n, 1.0 / n))
+    source = PrecomputedLoads(np.full((horizon, n), 0.5 / n))
+    rows = [(StaticSla(sla), _Rows(loads)), (_RaiseAt(n, 6, None), source)]
+    match = r"^row 0 \(static\): a load \[ +inf .*\] at step 2 is negative, NaN or infinite$"
+    with pytest.raises(InvariantViolation, match=match):
+        run_batch(rows, horizon=horizon)
+
+
 def _mw(n: int, monitor: bool = False) -> MultiplicativeWeights:
     sla = SlaVector(np.full(n, 1.0 / n))
     params = PolicyParams(n_users=n, epsilon=0.05, eta=1.0 / 3.0)
@@ -379,7 +428,6 @@ def test_short_source_is_rejected_up_front():
 def test_mid_run_exhaustion_names_the_step():
     class Dribble:
         n_users = 2
-        horizon = None
 
         def reset(self):
             pass
@@ -454,7 +502,23 @@ def test_matrix_backed_trace_load_is_a_read_only_view(schedule):
     assert np.array_equal(trace.load, matrix[: trace.horizon])
     with pytest.raises(ValueError):
         trace.load[0, 0] = 1.0
-    assert matrix.flags.writeable and np.array_equal(matrix, before)
+    assert not matrix.flags.writeable and np.array_equal(matrix, before)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_every_trace_array_is_read_only(stride):
+    # Fails without the freeze: the arrays were writeable views of the
+    # batch's buffers, and steps was one writeable array that every row's
+    # trace shares.
+    sla = SlaVector(np.array([0.5, 0.5]))
+    fixed = bernoulli_gamma_fuzz(n_users=2, horizon=20, seed=5)
+    rows = [(StaticSla(sla), fixed), (OnlineProportional(sla), QueueAdversary())]
+    for trace in run_batch(rows, horizon=20, stride=stride):
+        for name in _TRACE_FIELDS:
+            value = getattr(trace, name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[-1] = 0
 
 
 def test_run_validates_arguments():
@@ -483,7 +547,7 @@ def _batches(draw):
     error path is compared too.  Half the
     batches gain a faulty row at a random place, from a random step on: a
     policy returning a bad allocation, or an adaptive source yielding a
-    negative or NaN load.  So the checks after the loop are compared too.
+    negative, NaN or infinite load.  So the block checks are compared too.
     """
     adversary = draw(st.booleans())
     n = 2 if adversary else draw(st.integers(2, 12))
@@ -527,10 +591,10 @@ def _batches(draw):
     if draw(st.booleans()):
         step = draw(st.integers(1, horizon))
         loads = matrices[0].matrix
-        fault = draw(st.sampled_from(["over", "negative", "nan", "-load", "nan-load"]))
+        fault = draw(st.sampled_from(["over", "negative", "nan", "-load", "nan-load", "inf-load"]))
         if fault.endswith("load"):
             bad = loads.copy()
-            bad[step - 1:, 0] = np.nan if fault == "nan-load" else -0.25
+            bad[step - 1:, 0] = {"-load": -0.25, "nan-load": np.nan, "inf-load": np.inf}[fault]
             faulty = ("static", lambda: (StaticSla(sla), _Rows(bad)))
         else:
             alloc = np.full(n, 1.0 / n)
@@ -667,7 +731,7 @@ def test_run_batch_invariant_violation_names_the_row_and_policy():
         (OnlineWorkMaximizing(), _Rows(np.ones((3, 2)))),
         (OnlineProportional(sla), _Rows([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])),
     ]
-    match = r"^row 2 \(po\): a load \[nan 0\.5\] at step 2 is negative or NaN$"
+    match = r"^row 2 \(po\): a load \[nan 0\.5\] at step 2 is negative, NaN or infinite$"
     with pytest.raises(InvariantViolation, match=match):
         run_batch(rows, horizon=3)
 

@@ -29,7 +29,7 @@ def _replay(greedy, loads, *args, stride=1):
     """The trace of an offline greedy over `loads`: run(row, source, T) of
     the row it returns for a source of those loads."""
     source = PrecomputedLoads(loads)
-    return run(greedy(source, *args), source, source.horizon, stride=stride)
+    return run(greedy(source, *args), source, len(loads), stride=stride)
 
 
 def _reference_proportional_greedy(source, sla, capacity=1.0):

@@ -153,7 +153,6 @@ class _StaggeredJoin:
     allocation reaches 1 - eps; user 1 never demands anything."""
 
     n_users = 3
-    horizon = None
 
     def __init__(self, eps: float):
         self.eps = eps

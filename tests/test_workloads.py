@@ -4,6 +4,7 @@ CSV traces, and the adaptive backlog-forcing source."""
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -171,6 +172,34 @@ def test_precomputed_loads_and_offline_validate_alike(bad, message):
     for build in (PrecomputedLoads, offline_optimal_value):
         with pytest.raises(ValueError, match=message):
             build(bad)
+
+
+def _generated_sources(tmp_path):
+    write_trace_csv(tmp_path / "trace.csv", np.ones((4, 2)))
+    return {
+        "example1": example1_instance(6),
+        "synthetic_gamma": synthetic_gamma(example1_sla(), horizon=12, seed=1),
+        "fuzz": bernoulli_gamma_fuzz(n_users=3, horizon=10, seed=5),
+        "trace_csv": load_trace_csv(tmp_path / "trace.csv"),
+    }
+
+
+def test_a_generated_matrix_is_shared_not_copied(tmp_path):
+    # Fails without the freeze: each generator's matrix was writeable, so a
+    # read-only source of it would have to copy it.
+    for name, source in _generated_sources(tmp_path).items():
+        matrix = source.matrix
+        assert matrix.flags.owndata and not matrix.flags.writeable, name
+        assert PrecomputedLoads(matrix).matrix is matrix, name
+
+
+def test_an_unpickled_source_stays_read_only(tmp_path):
+    # A spawned worker gets its source by pickle, which makes a writeable
+    # copy of the matrix unless the source freezes it again.
+    for name, source in _generated_sources(tmp_path).items():
+        back = pickle.loads(pickle.dumps(source))
+        assert np.array_equal(back.matrix, source.matrix), name
+        assert not back.matrix.flags.writeable and back.n_users == source.n_users, name
 
 
 # ------------------------------------------------------------------ csv trace
