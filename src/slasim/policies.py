@@ -25,7 +25,7 @@ import numpy as np
 
 from slasim import offline
 from slasim.core import DegenerateSlaError, LemmaViolation, PolicyParams, SlaVector
-from slasim.projection import project_truncated_simplex
+from slasim.projection import SMALL_N, project_truncated_simplex
 
 LEMMA_SLACK = 1e-10
 
@@ -62,6 +62,10 @@ class MultiplicativeWeights(_SlaPolicy):
 
     One fused test per step checks every armed bound; the bounds run one
     by one, in the order above, only to name the first that failed.
+
+    Below SMALL_N users, as in every bundled config, a step runs on Python
+    floats (`_float_step`), bit for bit the numpy step but without numpy's
+    dispatch cost, and hands its update to the same `_check_lemmas`.
     """
 
     def __init__(
@@ -97,6 +101,9 @@ class MultiplicativeWeights(_SlaPolicy):
                       for g in range(3)])
             for low in (False, True)
         ]
+        self._small = n < SMALL_N  # then _float_step reads these lists
+        if self._small:
+            self._floats = (self._target.tolist(), sla.beta.tolist(), self._factors.tolist())
         self._h: Optional[np.ndarray] = None
         self._t = 0
 
@@ -120,11 +127,30 @@ class MultiplicativeWeights(_SlaPolicy):
     def decide(self, active: np.ndarray) -> np.ndarray:
         h = self._h
         self._t += 1
-        factors, gain = self._step(h, active)
-        h_new = project_truncated_simplex(h * factors, self.params.epsilon)
-        if self.monitor_lemmas:
-            self._check_lemmas(h, h_new, active, gain)
+        if self._small:
+            h_new = self._float_step(h, active)
+        else:
+            factors, gain = self._step(h, active)
+            h_new = project_truncated_simplex(h * factors, self.params.epsilon)
+            if self.monitor_lemmas:
+                self._check_lemmas(h, h_new, active, gain)
         self._h = h_new
+        return h_new
+
+    def _float_step(self, h: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """`_step`, the product and the projection on Python floats: the
+        same IEEE operations in the same order, so the same bits.  Fewer
+        than SMALL_N shares sum left to right in numpy, as `_numpy_sum` does."""
+        threshold, beta, factors = self._floats
+        h_list, seen = h.tolist(), active.tolist()
+        if self.proportional:
+            active_share = offline._numpy_sum([b for b, a in zip(beta, seen) if a])
+            threshold = [t / active_share if active_share > 0.0 else 0.0 for t in threshold]
+        gain = [a + (a and v < t) for v, a, t in zip(h_list, seen, threshold)]
+        y = [v * factors[g] for v, g in zip(h_list, gain)]
+        h_new = project_truncated_simplex(y, self.params.epsilon)
+        if self.monitor_lemmas:
+            self._check_lemmas(h, h_new, active, np.array(gain, dtype=np.intp))
         return h_new
 
     def _bounds(self, low_usage: bool) -> Iterator[tuple[tuple, float, str]]:

@@ -11,29 +11,43 @@ ascending, clip some prefix of them to the floor ``eps / n``, and rescale
 the rest by a common factor so the total is one.  The smallest prefix that
 leaves all unclipped coordinates at or above the floor is the optimal one.
 
-Only the sorted values are needed, not the permutation, so the cost is one
-``np.sort`` plus O(n) work.  A suffix cumsum of the sorted values gives the
-rescale factor of every candidate prefix size at once, and an ``argmax``
-over the mask of qualifying candidates picks the smallest.  The
-numerators ``1 - k * eps / n`` depend on ``n`` and ``eps`` alone, and a
-policy projects with one pair every step, so ``_budget`` builds them once
-per pair (an LRU cache of 16).  Every
-unclipped coordinate is then ``y(i)`` times that factor.  Coordinates
-strictly below the first unclipped sorted value are clipped; when that
-value is tied with the last clipped one, the tied coordinates of lowest
-index are clipped too, until the prefix size is reached, which is the
-order a stable sort would give them.
+Only the sorted values are needed, not the permutation.  A suffix sum of
+the sorted values gives the rescale factor of every candidate prefix size,
+and the smallest that qualifies wins.  The numerators ``1 - k * eps / n``
+depend on ``n`` and ``eps`` alone.  Every unclipped coordinate is then
+``y(i)`` times that factor.  Coordinates strictly below the first unclipped
+sorted value are clipped; when that value is tied with the last clipped
+one, the tied coordinates of lowest index are clipped too, until the prefix
+size is reached, which is the order a stable sort would give them.
+At k = 0 the numerator is exactly 1.0, so the no-clip answer is ``y``
+times ``1 / suffix[0]``; it is tried first.
 
-At large n most steps clip nothing, so k = 0 is tried first.  That exit is
-bitwise: ``_budget(n, eps)[0]`` is exactly 1.0, so ``1.0 / suffix[0]`` is
-the search's own k = 0 factor and ``y`` times it the search's own answer.
+From ``SMALL_N`` entries on, the search is numpy calls: one ``np.sort``, a
+cumsum, every scale at once from ``_budget`` (cached per ``(n, eps)``, as
+a policy projects with one pair every step), an ``argmax`` over the
+qualifying mask, then the clip.  Below ``SMALL_N`` the dispatch of those
+calls costs more than their arithmetic, so the same steps run on Python
+floats: ``sorted``, a right-to-left running sum, the k = 0 test, the first
+qualifying prefix and the stable-tie clip.  Both paths do the same IEEE
+operations in the same order (numpy's cumsum adds in sequence at every
+size), so they agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
+
+# Inputs of fewer than SMALL_N entries project on Python floats.  Per call
+# on a clipping input, numpy against floats, conversions included (2-vCPU
+# host, Python 3.11, numpy 2.4): n=3 9.2 vs 3.3 us, n=7 9.4 vs 4.4, n=16
+# 9.5 vs 6.5, n=32 9.8 vs 10.2, n=1000 21 vs 277.  Floats would still win
+# a little past 8, but from 8 values numpy sums pairwise, so a caller's sum
+# on floats (the MW active share) matches numpy's only below 8.
+SMALL_N = 8
 
 
 @lru_cache(maxsize=16)
@@ -60,11 +74,10 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"expected a 1-d vector with at least 2 entries, got shape {y.shape}")
+    if y.size < SMALL_N:
+        return np.array(_project_floats(y.tolist(), eps))
     ys = np.sort(y)  # a NaN sorts last
-    if not (ys[0] > 0.0 and ys[-1] < np.inf):
-        raise ValueError("weights must be finite and strictly positive")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _check(ys[0] > 0.0 and ys[-1] < np.inf, eps)
 
     n = y.size
     floor = eps / n
@@ -101,3 +114,35 @@ def project_truncated_simplex(y: np.ndarray, eps: float) -> np.ndarray:
     x[clip] = floor
     return x
 
+
+def _check(positive: bool, eps: float) -> None:
+    """The weight and eps checks of both paths, in this order."""
+    if not positive:
+        raise ValueError("weights must be finite and strictly positive")
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
+def _project_floats(y: list, eps: float) -> list:
+    """The search above on a list of Python floats, step for step."""
+    _check(all(map(math.isfinite, y)) and min(y) > 0.0, eps)
+    n = len(y)
+    floor = eps / n
+    top = max(y)
+    y = [v / top for v in y]
+    ys = sorted(y)  # the numpy path's ys: dividing by top keeps the order
+    suffix = list(accumulate(reversed(ys)))[::-1]
+    k, scale = 0, 1.0 / suffix[0]
+    while k < n - 1 and ys[k] * scale < floor:
+        k += 1
+        scale = (1.0 - floor * k) / suffix[k]
+    low = ys[k]
+    ties = k - ys.index(low)  # tied entries to clip, lowest index first
+    x = []
+    for v in y:
+        if v < low or (v == low and ties > 0):
+            ties -= v == low
+            x.append(floor)
+        else:
+            x.append(v * scale)
+    return x

@@ -5,12 +5,13 @@ guarantees."""
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slasim import PolicyParams, SlaVector, run
+from slasim import PolicyParams, SlaVector, policies, projection, run
 from slasim.core import DegenerateSlaError, LemmaViolation
 from slasim.policies import (
     LEMMA_SLACK,
@@ -20,6 +21,7 @@ from slasim.policies import (
     StaticSla,
     make_policy,
 )
+from slasim.projection import SMALL_N, project_truncated_simplex
 from slasim.workloads import PrecomputedLoads, bernoulli_gamma_fuzz
 
 
@@ -143,6 +145,77 @@ def test_updates_stay_in_truncated_simplex(rng):
         h = policy.decide(rng.random(4) < 0.5)
         assert h.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(h >= 0.08 / 4 - 1e-15)
+
+
+# ------------------------------------------------ the float step at small N
+
+
+def _numpy_step(policy: MultiplicativeWeights, h, active) -> np.ndarray:
+    """One update as `_step` and the numpy projection, the path of SMALL_N
+    users and more."""
+    factors, _ = policy._step(h, active)
+    with mock.patch.object(projection, "SMALL_N", 2):
+        return project_truncated_simplex(h * factors, policy.params.epsilon)
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitored"])
+@pytest.mark.parametrize("proportional", [False, True], ids=["basic", "prop"])
+@pytest.mark.parametrize("n", range(2, SMALL_N + 1))
+def test_small_n_step_matches_the_numpy_step_bitwise(n, proportional, monitor):
+    # Below SMALL_N users decide runs on Python floats; every allocation of
+    # a fuzz run must be the numpy step's, bit for bit.  User 0 has a zero
+    # share.  Some steps activate only user 0 (mw_prop's zero active share)
+    # or nobody; others start from a point of the truncated simplex with an
+    # active user exactly at their threshold, which counts as served.
+    rng = np.random.default_rng(n)
+    beta = 0.9 * rng.dirichlet(np.ones(n))
+    beta[0] = 0.0
+    policy = MultiplicativeWeights(SlaVector(beta), _params(n), proportional, monitor)
+    policy.reset(n)
+    assert policy._small == (n < SMALL_N)
+    floor = policy.params.epsilon / n
+    at_threshold = 0
+    for t in range(600):
+        active = rng.random(n) < 0.6
+        if t % 10 == 3:
+            active[:] = False
+        elif t % 10 == 6:
+            active = np.arange(n) == 0
+        elif t % 10 == 8 and active[1:].any():
+            threshold = policy._target
+            if proportional:
+                threshold = threshold / beta[active].sum()
+            j = 1 + int(rng.choice(np.flatnonzero(active[1:])))
+            if floor <= threshold[j] <= 1.0 - (n - 1) * floor:
+                rest = 1.0 - threshold[j] - (n - 1) * floor
+                h = np.insert(floor + rest * rng.dirichlet(np.ones(n - 1)), j, threshold[j])
+                assert policy._step(h, active)[1][j] == 1
+                policy._h = h
+                at_threshold += 1
+        want = _numpy_step(policy, policy._h, active)
+        got = policy.decide(active)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), t
+    assert at_threshold > 20
+
+
+@pytest.mark.parametrize("n", [2, SMALL_N])
+def test_a_monitored_decide_checks_its_own_update(n):
+    # On floats or on numpy, decide hands its update to the same monitors:
+    # an update that halves the one active user's allocation trips the
+    # low-usage bound at step 1.
+    policy = MultiplicativeWeights(
+        SlaVector(np.full(n, 1.0 / n)), _params(n), monitor_lemmas=True
+    )
+    policy.reset(n)
+    assert policy._small == (n < SMALL_N)
+    shrunk = np.full(n, 1.0 / n)
+    shrunk[0] *= 0.5
+    message = (
+        "step 1: active user allocation grew less than the (1 + eps*eta/4N) factor at low usage"
+    )
+    with mock.patch.object(policies, "project_truncated_simplex", lambda y, eps: shrunk):
+        with pytest.raises(LemmaViolation, match=_exactly(message)):
+            policy.decide(np.arange(n) == 0)
 
 
 # ----------------------------------------------------- stabilization behavior

@@ -8,12 +8,15 @@ there while the rest renormalize.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slasim import project_truncated_simplex
+from slasim.projection import SMALL_N
 
 from entropy import kl_divergence
 
@@ -43,6 +46,10 @@ def _reference_projection(y: np.ndarray, eps: float) -> np.ndarray:
     x[order[:k]] = floor
     x[order[k:]] = ys[k:] * scale
     return x
+
+
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
 
 
 def _two_user_oracle(y: np.ndarray, eps: float) -> np.ndarray:
@@ -108,17 +115,24 @@ def test_scale_invariance_power_of_two_is_exact():
 
 
 def test_rejects_bad_inputs():
-    for y in ([1.0, 0.0], [1.0, np.inf], [1.0, np.nan], [-np.inf, 1.0], [1.0, -2.0, 3.0]):
-        with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
-            project_truncated_simplex(np.array(y), eps=0.1)
-    with pytest.raises(ValueError):
-        project_truncated_simplex(np.array([1.0]), eps=0.1)
-    with pytest.raises(ValueError):
-        project_truncated_simplex(np.ones((2, 2)), eps=0.1)
-    with pytest.raises(ValueError):
-        project_truncated_simplex(np.array([1.0, 2.0]), eps=0.0)
-    with pytest.raises(ValueError):
-        project_truncated_simplex(np.array([1.0, 2.0]), eps=1.0)
+    # The same checks, in the same order and with the same messages, on the
+    # float path (fewer than SMALL_N entries) and on the numpy path.
+    positive = "weights must be finite and strictly positive"
+    bad_weights = ([1.0, 0.0], [1.0, np.inf], [1.0, np.nan], [-np.inf, 1.0], [1.0, -2.0, 3.0],
+                   [3.0, np.nan, 1.0])
+    for pad in ([], [1.0] * SMALL_N):
+        for y in bad_weights:
+            for eps in (0.1, 0.0):  # a bad weight is named before a bad eps
+                with pytest.raises(ValueError, match=_exactly(positive)):
+                    project_truncated_simplex(np.array(y + pad), eps)
+        for eps in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match=_exactly(f"eps must lie in (0, 1), got {eps}")):
+                project_truncated_simplex(np.array([1.0, 2.0] + pad), eps)
+    for y, shape in (([1.0], "(1,)"), (np.ones((2, 2)), "(2, 2)"), ([[1.0, 2.0]], "(1, 2)"),
+                     (np.ones((2, SMALL_N)), f"(2, {SMALL_N})")):
+        message = f"expected a 1-d vector with at least 2 entries, got shape {shape}"
+        with pytest.raises(ValueError, match=_exactly(message)):
+            project_truncated_simplex(y, eps=0.1)
 
 
 def test_kl_divergence_conventions():
@@ -133,7 +147,8 @@ def test_kl_divergence_conventions():
         kl_divergence(np.array([0.5, 0.5]), np.array([0.5, 0.0]))
 
 
-positive_vectors = st.integers(min_value=2, max_value=8).flatmap(
+# Both paths: below SMALL_N the float path, from it the numpy path.
+positive_vectors = st.one_of(st.integers(2, SMALL_N - 1), st.integers(SMALL_N, 64)).flatmap(
     lambda n: st.lists(
         st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
         min_size=n,
@@ -214,7 +229,8 @@ def test_projection_preserves_input_ordering(ys, eps):
 
 # ------------------------------------------- bitwise match with the reference
 
-sizes = st.integers(min_value=2, max_value=1000)
+# As many sizes below SMALL_N, the float path, as at or above it.
+sizes = st.one_of(st.integers(2, SMALL_N - 1), st.integers(SMALL_N, 1000))
 # eps anywhere in (0, 1), and close to each end
 epsilons = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -247,10 +263,9 @@ def tied_at_floor(draw):
     larger entries: roundoff then decides which members of the group each
     candidate prefix clips, so partial clips of a tie occur."""
     eps = draw(st.floats(min_value=0.01, max_value=0.999))
-    tied = draw(st.integers(min_value=2, max_value=600))
-    rest = draw(
-        arrays(np.float64, draw(st.integers(1, 400)), elements=st.floats(0.3, 1.0))
-    )
+    n = draw(st.one_of(st.integers(3, SMALL_N - 1), st.integers(SMALL_N, 1000)))
+    tied = draw(st.integers(min_value=2, max_value=n - 1))
+    rest = draw(arrays(np.float64, n - tied, elements=st.floats(0.3, 1.0)))
     floor = eps / (tied + rest.size)
     value = floor * rest.sum() / (1.0 - floor * tied)
     y = np.concatenate([np.full(tied, value), rest])
@@ -265,6 +280,8 @@ def _assert_matches_reference(y: np.ndarray, eps: float) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(y=spread_vectors, eps=epsilons)
+# Only the largest prefix size, k = n - 1, qualifies: x is (0.3, 0.4, 0.3).
+@example(y=np.array([2e-9, 1.0, 1e-9]), eps=0.9)
 def test_matches_reference_across_magnitudes(y, eps):
     _assert_matches_reference(y, eps)
 
@@ -282,6 +299,9 @@ def test_matches_reference_with_repeated_values(y, eps):
 @example(
     case=(np.array([0.7419354838709679, 1.0, 0.7419354838709679, 0.7419354838709679]), 0.92)
 )
+# At n = 3, tied entry 1 is clipped to 0.24333333333333332, and tied entry 2
+# is rescaled to 0.24333333333333335.
+@example(case=(np.array([0.64, 0.30337662337662336, 0.30337662337662336]), 0.73))
 def test_matches_reference_with_ties_at_the_clip_boundary(case):
     _assert_matches_reference(*case)
 
@@ -304,7 +324,7 @@ def test_matches_reference_when_nothing_clips(n, spread, eps, seed):
     _assert_matches_reference(y, eps)
 
 
-@pytest.mark.parametrize("n", [8, 1024])
+@pytest.mark.parametrize("n", [2, 4, 8, 1024])
 def test_smallest_entry_rescaled_exactly_onto_the_floor(n):
     # One entry a among ones: the rescale 1 / (a + n - 1) takes it to
     # v = a * (1 / (a + n - 1)).  With n a power of two, eps = n * v puts
@@ -321,3 +341,17 @@ def test_smallest_entry_rescaled_exactly_onto_the_floor(n):
     up = np.nextafter(eps, 1.0)
     assert project_truncated_simplex(y, up)[i] == up / n > v
     _assert_matches_reference(y, up)
+
+
+@pytest.mark.parametrize("n, eps", [(4, 0.09523809523809525), (16, 0.056737588652482275)])
+def test_a_clipping_prefix_that_rescales_exactly_onto_the_floor_qualifies(n, eps):
+    # y = (1e-6, 0.05, 1, ..., 1): 1e-6 clips, and at this eps the k = 1
+    # rescale (1 - eps / n) / (0.05 + n - 2) takes 0.05 exactly onto the
+    # floor, so k = 1 qualifies and the ones keep that factor.
+    y = np.ones(n)
+    y[:2] = 1e-6, 0.05
+    scale = (1.0 - eps / n) / (0.05 + (n - 2))
+    assert 0.05 * scale == eps / n
+    x = project_truncated_simplex(y, eps)
+    assert x[0] == x[1] == eps / n and np.all(x[2:] == scale)
+    _assert_matches_reference(y, eps)
